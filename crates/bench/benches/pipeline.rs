@@ -9,6 +9,7 @@
 use aivril_bench::{build_library, Harness, HarnessConfig};
 use aivril_core::{Aivril2, Aivril2Config, TaskInput};
 use aivril_eda::{HdlFile, ToolSuite, XsimToolSuite};
+use aivril_hdl::source::SourceMap;
 use aivril_llm::{profiles, SimLlm};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -55,6 +56,26 @@ fn bench_compile_vhdl(c: &mut Criterion) {
     ];
     c.bench_function("compile_vhdl_alu8", |b| {
         b.iter(|| black_box(tools.compile(black_box(&files))))
+    });
+}
+
+/// Frontend throughput without elaboration: lex+parse every suite DUT
+/// and testbench (312 files per language) in one `analyze` call.
+fn bench_lex_parse_suite(c: &mut Criterion) {
+    let h = harness();
+    let mut verilog = SourceMap::new();
+    let mut vhdl = SourceMap::new();
+    for p in h.problems() {
+        verilog.add_file(format!("{}.v", p.name), p.verilog.dut.clone());
+        verilog.add_file(format!("{}_tb.v", p.name), p.verilog.tb.clone());
+        vhdl.add_file(format!("{}.vhd", p.name), p.vhdl.dut.clone());
+        vhdl.add_file(format!("{}_tb.vhd", p.name), p.vhdl.tb.clone());
+    }
+    c.bench_function("lex_parse_suite_verilog", |b| {
+        b.iter(|| black_box(aivril_verilog::analyze(black_box(&verilog))))
+    });
+    c.bench_function("lex_parse_suite_vhdl", |b| {
+        b.iter(|| black_box(aivril_vhdl::analyze(black_box(&vhdl))))
     });
 }
 
@@ -119,6 +140,7 @@ criterion_group!(
     benches,
     bench_compile_verilog,
     bench_compile_vhdl,
+    bench_lex_parse_suite,
     bench_simulate,
     bench_pipeline,
     bench_suite_generation

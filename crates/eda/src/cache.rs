@@ -242,19 +242,12 @@ impl EdaCache {
         }
     }
 
+    /// Analyze slot for `key`. Fill a fresh slot only through
+    /// [`EdaCache::load_or_compute_analyze`] inside its `get_or_init`.
     pub(crate) fn analyze_slot(&self, key: u128) -> (Slot<CompileReport>, bool) {
-        let (slot, hit) = self
-            .inner
+        self.inner
             .analyze
-            .slot(key, &self.inner.hits, &self.inner.misses);
-        if !hit {
-            // Fresh key: give the disk tier one chance to pre-fill the
-            // slot before the caller's get_or_init runs the tools.
-            if let Some(report) = self.inner.disk.as_ref().and_then(|d| d.load_analyze(key)) {
-                let _ = slot.set(report);
-            }
-        }
-        (slot, hit)
+            .slot(key, &self.inner.hits, &self.inner.misses)
     }
 
     pub(crate) fn compile_slot(&self, key: u128) -> (Slot<CompileEntry>, bool) {
@@ -282,34 +275,54 @@ impl EdaCache {
             .slot(key, &self.inner.elab_hits, &self.inner.elab_misses)
     }
 
+    /// Simulation slot for `key`. Fill a fresh slot only through
+    /// [`EdaCache::load_or_compute_sim`] inside its `get_or_init`.
     pub(crate) fn sim_slot(&self, key: u128) -> (Slot<SimEntry>, bool) {
-        let (slot, hit) = self
-            .inner
+        self.inner
             .sim
-            .slot(key, &self.inner.hits, &self.inner.misses);
-        if !hit {
-            if let Some(entry) = self.inner.disk.as_ref().and_then(|d| d.load_sim(key)) {
-                let _ = slot.set(entry);
-            }
-        }
-        (slot, hit)
+            .slot(key, &self.inner.hits, &self.inner.misses)
     }
 
-    /// Persists a freshly-computed analyze result (no-op without a
-    /// disk tier). Called from inside the compute closure, so a value
-    /// that came *from* disk is never written back.
-    pub(crate) fn persist_analyze(&self, key: u128, report: &CompileReport) {
-        if let Some(disk) = &self.inner.disk {
-            disk.store_analyze(key, report);
+    /// Initialiser of a fresh analyze slot: the disk tier first, else
+    /// `compute`, whose result is persisted.
+    ///
+    /// It must run *inside* the slot's `get_or_init`. Loading from disk
+    /// before that would leave the slot empty while a concurrent hit on
+    /// the same key runs its own initialiser, computing and re-writing
+    /// a value that is already on disk. Inside, exactly one thread per
+    /// key loads or computes, and a value that came from disk is never
+    /// written back.
+    pub(crate) fn load_or_compute_analyze(
+        &self,
+        key: u128,
+        compute: impl FnOnce() -> CompileReport,
+    ) -> CompileReport {
+        let disk = self.inner.disk.as_ref();
+        if let Some(report) = disk.and_then(|d| d.load_analyze(key)) {
+            return report;
         }
+        let report = compute();
+        if let Some(disk) = disk {
+            disk.store_analyze(key, &report);
+        }
+        report
     }
 
-    /// Persists a freshly-computed simulation result (no-op without a
-    /// disk tier).
-    pub(crate) fn persist_sim(&self, key: u128, entry: &SimEntry) {
-        if let Some(disk) = &self.inner.disk {
-            disk.store_sim(key, entry);
+    /// [`EdaCache::load_or_compute_analyze`] for simulation entries.
+    pub(crate) fn load_or_compute_sim(
+        &self,
+        key: u128,
+        compute: impl FnOnce() -> SimEntry,
+    ) -> SimEntry {
+        let disk = self.inner.disk.as_ref();
+        if let Some(entry) = disk.and_then(|d| d.load_sim(key)) {
+            return entry;
         }
+        let entry = compute();
+        if let Some(disk) = disk {
+            disk.store_sim(key, &entry);
+        }
+        entry
     }
 }
 

@@ -1158,21 +1158,18 @@ impl XsimToolSuite {
         let (slot, hit) = cache.sim_slot(key);
         let mut computed_here = false;
         let entry = slot.get_or_init(|| {
-            computed_here = true;
-            // Telemetry is collected even when this suite's recorder is
-            // disabled: the recorder-free scoring suite may populate an
-            // entry a traced worker hits later.
-            let (report, sim_latency, kernel) = self.run_sim(compile_report, design, true);
-            let entry = SimEntry {
-                report,
-                sim_latency,
-                kernel,
-            };
-            // Inside the initializer: values that came from memory or
-            // disk never reach this line, so each result is persisted
-            // exactly once, by the process that computed it.
-            cache.persist_sim(key, &entry);
-            entry
+            cache.load_or_compute_sim(key, || {
+                computed_here = true;
+                // Telemetry is collected even when this suite's recorder
+                // is disabled: the recorder-free scoring suite may
+                // populate an entry a traced worker hits later.
+                let (report, sim_latency, kernel) = self.run_sim(compile_report, design, true);
+                SimEntry {
+                    report,
+                    sim_latency,
+                    kernel,
+                }
+            })
         });
         if !computed_here {
             if let Some(kernel) = &entry.kernel {
@@ -1275,9 +1272,7 @@ impl ToolSuite for XsimToolSuite {
                         let (slot, hit) = cache.analyze_slot(key);
                         let report = slot
                             .get_or_init(|| {
-                                let report = self.analyze_inner(files);
-                                cache.persist_analyze(key, &report);
-                                report
+                                cache.load_or_compute_analyze(key, || self.analyze_inner(files))
                             })
                             .clone();
                         (report, Some(hit))
@@ -1704,6 +1699,45 @@ mod tests {
         let clean = XsimToolSuite::new().with_cache(cache);
         let baseline = XsimToolSuite::new().simulate(&files, Some("tb"));
         assert_eq!(clean.simulate(&files, Some("tb")).log, baseline.log);
+    }
+
+    /// Two threads race on keys that are already on disk. Whichever one
+    /// inserts the slot, the value must come from disk exactly once and
+    /// never be recomputed or re-written.
+    #[test]
+    fn racing_lookups_of_a_disk_resident_key_never_rewrite_it() {
+        let dir = std::env::temp_dir().join(format!("aivril-xsim-race-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let files = [HdlFile::new("inv.v", GOOD_V), HdlFile::new("tb.v", GOOD_TB)];
+        let seed = XsimToolSuite::new().with_cache(EdaCache::persistent(&dir));
+        let analyzed = seed.analyze(&files);
+        let simulated = seed.simulate(&files, Some("tb"));
+        let stored = seed
+            .cache()
+            .and_then(EdaCache::disk_stats)
+            .expect("disk tier");
+        assert_eq!(stored.writes, 2, "one analyze and one sim entry");
+        for round in 0..64 {
+            let cache = EdaCache::persistent(&dir);
+            let tools = XsimToolSuite::new().with_cache(cache.clone());
+            let start = std::sync::Barrier::new(2);
+            std::thread::scope(|s| {
+                for _ in 0..2 {
+                    s.spawn(|| {
+                        start.wait();
+                        assert_eq!(tools.analyze(&files).log, analyzed.log);
+                        assert_eq!(tools.simulate(&files, Some("tb")).log, simulated.log);
+                    });
+                }
+            });
+            let disk = cache.disk_stats().expect("disk tier");
+            assert_eq!(
+                (disk.hits, disk.misses, disk.writes),
+                (2, 0, 0),
+                "round {round}: each key is loaded once and never re-written"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

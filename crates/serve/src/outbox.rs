@@ -33,6 +33,7 @@ use std::time::Duration;
 
 #[derive(Default)]
 struct OutboxState {
+    /// Queued frames, each already terminated by `\n`.
     frames: VecDeque<String>,
     /// The writer has popped a frame and is writing it to the socket.
     writing: bool,
@@ -84,6 +85,9 @@ impl Outbox {
     /// safe to call under the queue lock. Pushing past `cap` condemns
     /// the connection (the client has demonstrably stopped reading).
     pub fn push(&self, frame: &str) {
+        let mut line = String::with_capacity(frame.len() + 1);
+        line.push_str(frame);
+        line.push('\n');
         let mut g = self.lock();
         if g.dead || g.closed {
             return;
@@ -91,7 +95,7 @@ impl Outbox {
         if g.frames.len() >= self.cap {
             Self::condemn_locked(&mut g, &self.stream);
         } else {
-            g.frames.push_back(frame.to_string());
+            g.frames.push_back(line);
         }
         drop(g);
         self.cvar.notify_all();
@@ -169,8 +173,11 @@ impl Outbox {
             // Write outside the state lock: pushes stay non-blocking
             // while the socket dawdles. A failed or timed-out write
             // condemns the connection; remaining frames are dropped.
+            // One write per line: a separate newline write would be a
+            // second small segment, held back until the client ACKs.
             let mut sock = &self.stream;
-            let written = writeln!(sock, "{frame}")
+            let written = sock
+                .write_all(frame.as_bytes())
                 .and_then(|()| sock.flush())
                 .is_ok();
             let mut g = self.lock();

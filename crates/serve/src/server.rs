@@ -403,6 +403,10 @@ impl Server {
     /// slow client; a client that stops reading is dropped when its
     /// outbox overflows or a write times out.
     pub fn handle_connection(self: &Arc<Self>, stream: TcpStream) {
+        // Frames are small and latency-bound: without TCP_NODELAY a frame
+        // written while the previous one is unacknowledged waits for the
+        // client's delayed ACK (tens of ms) under Nagle's algorithm.
+        let _ = stream.set_nodelay(true);
         let write_half = match stream.try_clone() {
             Ok(s) => s,
             Err(_) => return,
@@ -490,6 +494,40 @@ mod tests {
         let (mut config, _) = ServeConfig::from_vars_checked(|_| None);
         config.harness.task_limit = 4;
         Server::new(config)
+    }
+
+    #[test]
+    fn connection_sets_nodelay_and_frames_arrive_as_whole_lines() {
+        use std::io::Read;
+        let server = Arc::new(small_server());
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let mut client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (conn, _) = listener.accept().expect("accept");
+        // A clone shares the socket, so it observes the handler's options.
+        let probe = conn.try_clone().expect("clone");
+        let handler = {
+            let server = Arc::clone(&server);
+            std::thread::spawn(move || server.handle_connection(conn))
+        };
+        client
+            .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+            .expect("timeout");
+        // The greeting is one write: the first read already holds the
+        // whole line, newline included.
+        let mut buf = [0u8; 4096];
+        let n = client.read(&mut buf).expect("hello");
+        let first = std::str::from_utf8(&buf[..n]).expect("utf-8");
+        assert!(first.contains("\"type\":\"hello\""), "{first}");
+        assert!(
+            first.ends_with('\n') && first.matches('\n').count() == 1,
+            "{first:?}"
+        );
+        assert!(
+            probe.nodelay().expect("nodelay"),
+            "server socket must set TCP_NODELAY"
+        );
+        client.shutdown(std::net::Shutdown::Both).expect("close");
+        handler.join().expect("handler exits on EOF");
     }
 
     #[test]

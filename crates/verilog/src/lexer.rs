@@ -4,17 +4,22 @@
 //! unrecognised characters reported as syntax diagnostics. This matters
 //! because the AIVRIL2 loop feeds it LLM-corrupted source — garbage must
 //! surface as a well-located error, never a panic.
+//!
+//! Token text borrows from the source; see [`Token`] for the few
+//! literals that own rewritten text.
 
 use crate::token::{Keyword, Punct, Token, TokenKind};
 use aivril_hdl::diag::{codes, Diagnostic, Diagnostics};
 use aivril_hdl::source::{FileId, Span};
+use std::borrow::Cow;
 
 /// Lexes `text` (registered as `file`) into tokens, appending any
 /// lexical errors to `diags`. Always ends with an [`TokenKind::Eof`]
 /// token.
-pub fn lex(file: FileId, text: &str, diags: &mut Diagnostics) -> Vec<Token> {
+pub fn lex<'src>(file: FileId, text: &'src str, diags: &mut Diagnostics) -> Vec<Token<'src>> {
     Lexer {
         file,
+        src: text,
         bytes: text.as_bytes(),
         pos: 0,
         tokens: Vec::new(),
@@ -22,15 +27,16 @@ pub fn lex(file: FileId, text: &str, diags: &mut Diagnostics) -> Vec<Token> {
     .run(diags)
 }
 
-struct Lexer<'a> {
+struct Lexer<'src> {
     file: FileId,
-    bytes: &'a [u8],
+    src: &'src str,
+    bytes: &'src [u8],
     pos: usize,
-    tokens: Vec<Token>,
+    tokens: Vec<Token<'src>>,
 }
 
-impl Lexer<'_> {
-    fn run(mut self, diags: &mut Diagnostics) -> Vec<Token> {
+impl<'src> Lexer<'src> {
+    fn run(mut self, diags: &mut Diagnostics) -> Vec<Token<'src>> {
         while self.pos < self.bytes.len() {
             let start = self.pos;
             let c = self.bytes[self.pos];
@@ -80,7 +86,7 @@ impl Lexer<'_> {
         let end = self.bytes.len();
         self.tokens.push(Token {
             kind: TokenKind::Eof,
-            text: String::new(),
+            text: Cow::Borrowed(""),
             span: Span::new(self.file, end as u32, end as u32),
         });
         self.tokens
@@ -94,27 +100,59 @@ impl Lexer<'_> {
         Span::new(self.file, start as u32, self.pos as u32)
     }
 
-    fn text(&self, start: usize) -> String {
-        String::from_utf8_lossy(&self.bytes[start..self.pos]).into_owned()
+    /// Source text from `start` to the cursor. Every caller's bounds sit
+    /// on ASCII bytes (or the end of input), so the slice is whole chars.
+    fn text(&self, start: usize) -> &'src str {
+        &self.src[start..self.pos]
     }
 
-    fn push(&mut self, kind: TokenKind, text: String, start: usize) {
+    fn push(&mut self, kind: TokenKind, text: impl Into<Cow<'src, str>>, start: usize) {
         let span = self.span(start);
-        self.tokens.push(Token { kind, text, span });
+        self.tokens.push(Token {
+            kind,
+            text: text.into(),
+            span,
+        });
     }
 
+    /// Plain ASCII contents borrow from the source; an escape or a
+    /// non-ASCII byte switches to [`Lexer::decode_string`].
     fn lex_string(&mut self, start: usize, diags: &mut Diagnostics) {
         self.pos += 1;
         let content_start = self.pos;
-        let mut text = String::new();
-        let mut closed = false;
+        while self
+            .bytes
+            .get(self.pos)
+            .is_some_and(|&b| b.is_ascii() && !matches!(b, b'"' | b'\\' | b'\n'))
+        {
+            self.pos += 1;
+        }
+        let text = if matches!(self.bytes.get(self.pos), Some(b'\\' | 0x80..)) {
+            Cow::Owned(self.decode_string(content_start))
+        } else {
+            Cow::Borrowed(&self.src[content_start..self.pos])
+        };
+        if self.bytes.get(self.pos) == Some(&b'"') {
+            self.pos += 1;
+        } else {
+            diags.push(Diagnostic::error(
+                codes::VLOG_SYNTAX,
+                "unterminated string literal",
+                Span::new(self.file, start as u32, content_start as u32),
+            ));
+        }
+        self.push(TokenKind::Str, text, start);
+    }
+
+    /// Owned contents of a string literal whose plain prefix ends at the
+    /// cursor: escapes decode and every other byte maps to one `char`
+    /// (Latin-1), as xvlog reads it. Stops at the closing quote or line
+    /// end without consuming it.
+    fn decode_string(&mut self, content_start: usize) -> String {
+        let mut text = self.src[content_start..self.pos].to_owned();
         while self.pos < self.bytes.len() {
             match self.bytes[self.pos] {
-                b'"' => {
-                    self.pos += 1;
-                    closed = true;
-                    break;
-                }
+                b'"' | b'\n' => break,
                 b'\\' => {
                     // Escape sequences: \n \t \\ \" pass through decoded.
                     if let Some(next) = self.peek(1) {
@@ -128,21 +166,13 @@ impl Lexer<'_> {
                         self.pos += 1;
                     }
                 }
-                b'\n' => break,
                 other => {
                     text.push(other as char);
                     self.pos += 1;
                 }
             }
         }
-        if !closed {
-            diags.push(Diagnostic::error(
-                codes::VLOG_SYNTAX,
-                "unterminated string literal",
-                Span::new(self.file, start as u32, content_start as u32),
-            ));
-        }
-        self.push(TokenKind::Str, text, start);
+        text
     }
 
     fn lex_ident(&mut self, start: usize) {
@@ -155,7 +185,7 @@ impl Lexer<'_> {
         let text = self.text(start);
         // A number base suffix can follow a size: handled in lex_number,
         // so here any word is an identifier or keyword.
-        let kind = match Keyword::from_str(&text) {
+        let kind = match Keyword::from_str(text) {
             Some(kw) => TokenKind::Keyword(kw),
             None => TokenKind::Ident,
         };
@@ -239,8 +269,12 @@ impl Lexer<'_> {
                 }
             }
         }
-        let text = self.text(start).replace([' ', '\t'], "");
-        self.push(TokenKind::Number, text, start);
+        let text = self.text(start);
+        if text.contains([' ', '\t']) {
+            self.push(TokenKind::Number, text.replace([' ', '\t'], ""), start);
+        } else {
+            self.push(TokenKind::Number, text, start);
+        }
     }
 
     fn lex_punct(&mut self, start: usize, diags: &mut Diagnostics) {
@@ -301,7 +335,7 @@ impl Lexer<'_> {
             }
         };
         self.pos += len;
-        self.push(TokenKind::Punct(p), p.to_string(), start);
+        self.push(TokenKind::Punct(p), p.as_str(), start);
     }
 }
 
@@ -310,7 +344,7 @@ mod tests {
     use super::*;
     use aivril_hdl::source::SourceMap;
 
-    fn lex_ok(src: &str) -> Vec<Token> {
+    fn lex_ok(src: &str) -> Vec<Token<'_>> {
         let mut sources = SourceMap::new();
         let file = sources.add_file("t.v", src);
         let mut diags = Diagnostics::new();
@@ -336,7 +370,7 @@ mod tests {
     #[test]
     fn numbers() {
         let toks = lex_ok("42 8'hFF 4'b10xz 'd9 16'd1_000");
-        let texts: Vec<&str> = toks[..5].iter().map(|t| t.text.as_str()).collect();
+        let texts: Vec<&str> = toks[..5].iter().map(|t| &*t.text).collect();
         assert_eq!(texts, vec!["42", "8'hFF", "4'b10xz", "'d9", "16'd1_000"]);
         assert!(toks[..5].iter().all(|t| t.kind == TokenKind::Number));
     }
@@ -378,6 +412,33 @@ mod tests {
         let toks = lex_ok(r#""hello\nworld""#);
         assert_eq!(toks[0].kind, TokenKind::Str);
         assert_eq!(toks[0].text, "hello\nworld");
+    }
+
+    #[test]
+    fn text_borrows_except_where_rewritten() {
+        let toks = lex_ok(r#"module m; $display("plain", "esc\n", 8 'h FF, 4'b1) ^~ \e$c"#);
+        let owned: Vec<&str> = toks
+            .iter()
+            .filter(|t| matches!(t.text, Cow::Owned(_)))
+            .map(|t| &*t.text)
+            .collect();
+        assert_eq!(owned, ["esc\n", "8'hFF"]);
+        let caret = toks
+            .iter()
+            .find(|t| t.kind == TokenKind::Punct(Punct::TildeCaret));
+        assert_eq!(caret.map(|t| &*t.text), Some("~^"), "^~ reads as ~^");
+        assert_eq!(toks[toks.len() - 2].text, "e$c");
+    }
+
+    #[test]
+    fn non_ascii_string_bytes_decode_one_char_each() {
+        let toks = lex_ok("\"caf\u{e9}\"");
+        assert_eq!(toks[0].text, "caf\u{c3}\u{a9}");
+    }
+
+    #[test]
+    fn token_is_no_larger_than_with_owned_text() {
+        assert!(std::mem::size_of::<Token<'_>>() <= 40);
     }
 
     #[test]

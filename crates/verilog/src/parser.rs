@@ -12,7 +12,7 @@ use aivril_hdl::diag::{codes, Diagnostic, Diagnostics};
 use aivril_hdl::source::Span;
 
 /// Parses a token stream into modules, appending errors to `diags`.
-pub fn parse(tokens: Vec<Token>, diags: &mut Diagnostics) -> SourceUnit {
+pub fn parse(tokens: Vec<Token<'_>>, diags: &mut Diagnostics) -> SourceUnit {
     let mut p = Parser {
         tokens,
         pos: 0,
@@ -25,11 +25,7 @@ pub fn parse(tokens: Vec<Token>, diags: &mut Diagnostics) -> SourceUnit {
                 unit.modules.push(std::sync::Arc::new(m));
             }
         } else {
-            let tok = p.peek().clone();
-            p.error(
-                format!("expected 'module', found {}", tok.describe()),
-                tok.span,
-            );
+            p.error_found("expected 'module'");
             p.bump();
             // Skip forward to the next 'module'.
             while !p.at_eof() && !p.check_kw(Kw::Module) {
@@ -40,14 +36,14 @@ pub fn parse(tokens: Vec<Token>, diags: &mut Diagnostics) -> SourceUnit {
     unit
 }
 
-struct Parser<'d> {
-    tokens: Vec<Token>,
+struct Parser<'src, 'd> {
+    tokens: Vec<Token<'src>>,
     pos: usize,
     diags: &'d mut Diagnostics,
 }
 
-impl Parser<'_> {
-    fn peek(&self) -> &Token {
+impl<'src> Parser<'src, '_> {
+    fn peek(&self) -> &Token<'src> {
         &self.tokens[self.pos.min(self.tokens.len() - 1)]
     }
 
@@ -55,12 +51,28 @@ impl Parser<'_> {
         self.peek().kind == TokenKind::Eof
     }
 
-    fn bump(&mut self) -> Token {
-        let t = self.peek().clone();
-        if self.pos < self.tokens.len() - 1 {
-            self.pos += 1;
+    /// Advances past the current token and hands it over. The parser
+    /// never looks behind the cursor, so the text moves out of the
+    /// stream rather than being copied. The last token (end of input)
+    /// is never passed and stays in place.
+    fn bump(&mut self) -> Token<'src> {
+        let last = self.tokens.len() - 1;
+        if self.pos >= last {
+            return self.tokens[last].clone();
         }
-        t
+        self.pos += 1;
+        let t = &mut self.tokens[self.pos - 1];
+        Token {
+            kind: t.kind,
+            text: std::mem::take(&mut t.text),
+            span: t.span,
+        }
+    }
+
+    /// Advances and returns the token's text for storing in the AST —
+    /// the parser's only per-token allocation.
+    fn bump_text(&mut self) -> String {
+        self.bump().text.into_owned()
     }
 
     fn check(&self, p: Punct) -> bool {
@@ -97,28 +109,37 @@ impl Parser<'_> {
         }
     }
 
-    fn expect(&mut self, p: Punct) -> Option<Token> {
+    /// Reports `"{expected}, found <current token>"` at the current token.
+    fn error_found(&mut self, expected: &str) {
+        let tok = self.peek();
+        let message = format!("{expected}, found {}", tok.describe());
+        let span = tok.span;
+        self.error(message, span);
+    }
+
+    /// Reports a syntax error at the current token.
+    fn error_near(&mut self) {
+        let tok = self.peek();
+        let message = format!("syntax error near {}", tok.describe());
+        let span = tok.span;
+        self.error(message, span);
+    }
+
+    /// Consumes `p`, returning its span, or reports what was found.
+    fn expect(&mut self, p: Punct) -> Option<Span> {
         if self.check(p) {
-            return Some(self.bump());
+            return Some(self.bump().span);
         }
-        let tok = self.peek().clone();
-        self.error(
-            format!("expected '{p}', found {}", tok.describe()),
-            tok.span,
-        );
+        self.error_found(&format!("expected '{p}'"));
         None
     }
 
     fn expect_ident(&mut self) -> Option<(String, Span)> {
         if self.peek().kind == TokenKind::Ident {
             let t = self.bump();
-            return Some((t.text, t.span));
+            return Some((t.text.into_owned(), t.span));
         }
-        let tok = self.peek().clone();
-        self.error(
-            format!("expected identifier, found {}", tok.describe()),
-            tok.span,
-        );
+        self.error_found("expected identifier");
         None
     }
 
@@ -171,8 +192,8 @@ impl Parser<'_> {
                 break;
             }
             if self.at_eof() {
-                let tok = self.peek().clone();
-                self.error("expected 'endmodule', found end of file".into(), tok.span);
+                let span = self.peek().span;
+                self.error("expected 'endmodule', found end of file".into(), span);
                 break;
             }
             match self.parse_item() {
@@ -270,8 +291,8 @@ impl Parser<'_> {
     }
 
     fn parse_item(&mut self) -> Option<Vec<Item>> {
-        let tok = self.peek().clone();
-        match &tok.kind {
+        let (kind, span) = (self.peek().kind, self.peek().span);
+        match kind {
             TokenKind::Keyword(Kw::Input)
             | TokenKind::Keyword(Kw::Output)
             | TokenKind::Keyword(Kw::Inout) => {
@@ -378,7 +399,7 @@ impl Parser<'_> {
                 Some(vec![Item::IntegerDecl { names }])
             }
             TokenKind::Keyword(Kw::Parameter) | TokenKind::Keyword(Kw::Localparam) => {
-                let local = tok.kind == TokenKind::Keyword(Kw::Localparam);
+                let local = kind == TokenKind::Keyword(Kw::Localparam);
                 self.bump();
                 let mut items = Vec::new();
                 loop {
@@ -405,11 +426,7 @@ impl Parser<'_> {
                     let target = self.parse_lvalue_expr()?;
                     self.expect(Punct::Assign)?;
                     let expr = self.parse_expr();
-                    items.push(Item::ContinuousAssign {
-                        target,
-                        expr,
-                        span: tok.span,
-                    });
+                    items.push(Item::ContinuousAssign { target, expr, span });
                     if !self.eat(Punct::Comma) {
                         break;
                     }
@@ -425,19 +442,12 @@ impl Parser<'_> {
                     None
                 };
                 let body = self.parse_stmt()?;
-                Some(vec![Item::Always {
-                    events,
-                    body,
-                    span: tok.span,
-                }])
+                Some(vec![Item::Always { events, body, span }])
             }
             TokenKind::Keyword(Kw::Initial) => {
                 self.bump();
                 let body = self.parse_stmt()?;
-                Some(vec![Item::Initial {
-                    body,
-                    span: tok.span,
-                }])
+                Some(vec![Item::Initial { body, span }])
             }
             TokenKind::Keyword(Kw::Function) => {
                 self.bump();
@@ -472,11 +482,7 @@ impl Parser<'_> {
                 }
                 let body = self.parse_stmt()?;
                 if !self.eat_kw(Kw::Endfunction) {
-                    let t = self.peek().clone();
-                    self.error(
-                        format!("expected 'endfunction', found {}", t.describe()),
-                        t.span,
-                    );
+                    self.error_found("expected 'endfunction'");
                     return None;
                 }
                 Some(vec![Item::Function(FunctionDecl {
@@ -484,12 +490,12 @@ impl Parser<'_> {
                     range,
                     inputs,
                     body,
-                    span: tok.span,
+                    span,
                 })])
             }
             TokenKind::Ident => {
                 // Module instantiation: modname [#(...)] instname ( ... ) ;
-                let module = self.bump().text;
+                let module = self.bump_text();
                 let mut param_overrides = Vec::new();
                 if self.eat(Punct::Hash) {
                     self.expect(Punct::LParen)?;
@@ -522,11 +528,11 @@ impl Parser<'_> {
                     name,
                     param_overrides,
                     connections,
-                    span: tok.span,
+                    span,
                 }])
             }
             _ => {
-                self.error(format!("syntax error near {}", tok.describe()), tok.span);
+                self.error_near();
                 None
             }
         }
@@ -548,7 +554,7 @@ impl Parser<'_> {
                     Some(self.parse_expr())
                 };
                 self.expect(Punct::RParen)?;
-                conns.push((pname, expr, dot.span));
+                conns.push((pname, expr, dot));
                 if !self.eat(Punct::Comma) {
                     break;
                 }
@@ -598,8 +604,8 @@ impl Parser<'_> {
     // ------------------------------------------------------- statements
 
     fn parse_stmt(&mut self) -> Option<Stmt> {
-        let tok = self.peek().clone();
-        match &tok.kind {
+        let (kind, span) = (self.peek().kind, self.peek().span);
+        match kind {
             TokenKind::Keyword(Kw::Begin) => {
                 self.bump();
                 // Optional block label.
@@ -612,7 +618,7 @@ impl Parser<'_> {
                         break;
                     }
                     if self.at_eof() {
-                        self.error("expected 'end', found end of file".into(), tok.span);
+                        self.error("expected 'end', found end of file".into(), span);
                         break;
                     }
                     match self.parse_stmt() {
@@ -643,7 +649,7 @@ impl Parser<'_> {
             TokenKind::Keyword(Kw::Case)
             | TokenKind::Keyword(Kw::Casez)
             | TokenKind::Keyword(Kw::Casex) => {
-                let wildcard = !matches!(tok.kind, TokenKind::Keyword(Kw::Case));
+                let wildcard = !matches!(kind, TokenKind::Keyword(Kw::Case));
                 self.bump();
                 self.expect(Punct::LParen)?;
                 let subject = self.parse_expr();
@@ -655,7 +661,7 @@ impl Parser<'_> {
                         break;
                     }
                     if self.at_eof() {
-                        self.error("expected 'endcase', found end of file".into(), tok.span);
+                        self.error("expected 'endcase', found end of file".into(), span);
                         break;
                     }
                     if self.eat_kw(Kw::Default) {
@@ -676,7 +682,7 @@ impl Parser<'_> {
                     arms,
                     default,
                     wildcard,
-                    span: tok.span,
+                    span,
                 })
             }
             TokenKind::Keyword(Kw::For) => {
@@ -747,13 +753,13 @@ impl Parser<'_> {
                 Some(Stmt::EventControl { events, then })
             }
             TokenKind::SysIdent => {
-                let name = self.bump().text;
+                let name = self.bump_text();
                 let mut args = Vec::new();
                 if self.eat(Punct::LParen) {
                     if !self.check(Punct::RParen) {
                         loop {
                             if self.peek().kind == TokenKind::Str {
-                                args.push(SysArg::Str(self.bump().text));
+                                args.push(SysArg::Str(self.bump_text()));
                             } else {
                                 args.push(SysArg::Expr(self.parse_expr()));
                             }
@@ -765,11 +771,7 @@ impl Parser<'_> {
                     self.expect(Punct::RParen)?;
                 }
                 self.expect(Punct::Semi)?;
-                Some(Stmt::SysCall {
-                    name,
-                    args,
-                    span: tok.span,
-                })
+                Some(Stmt::SysCall { name, args, span })
             }
             TokenKind::Punct(Punct::Semi) => {
                 self.bump();
@@ -777,7 +779,6 @@ impl Parser<'_> {
             }
             TokenKind::Ident | TokenKind::Punct(Punct::LBrace) => {
                 let target = self.parse_lvalue_expr()?;
-                let span = tok.span;
                 if self.eat(Punct::Assign) {
                     // Optional intra-assignment delay: `a = #1 b;` — the
                     // delay is honoured as a pre-assignment wait.
@@ -810,19 +811,12 @@ impl Parser<'_> {
                         span,
                     })
                 } else {
-                    let t = self.peek().clone();
-                    self.error(
-                        format!(
-                            "expected '=' or '<=' after assignment target, found {}",
-                            t.describe()
-                        ),
-                        t.span,
-                    );
+                    self.error_found("expected '=' or '<=' after assignment target");
                     None
                 }
             }
             _ => {
-                self.error(format!("syntax error near {}", tok.describe()), tok.span);
+                self.error_near();
                 None
             }
         }
@@ -844,30 +838,21 @@ impl Parser<'_> {
             e
         } else {
             // number or identifier
-            let tok = self.peek().clone();
-            match tok.kind {
-                TokenKind::Number => {
-                    self.bump();
-                    Expr::Number {
-                        text: tok.text,
-                        span: tok.span,
-                    }
-                }
-                TokenKind::Ident => {
-                    self.bump();
-                    Expr::Ident {
-                        name: tok.text,
-                        span: tok.span,
-                    }
-                }
+            let span = self.peek().span;
+            match self.peek().kind {
+                TokenKind::Number => Expr::Number {
+                    text: self.bump_text(),
+                    span,
+                },
+                TokenKind::Ident => Expr::Ident {
+                    name: self.bump_text(),
+                    span,
+                },
                 _ => {
-                    self.error(
-                        format!("expected delay value, found {}", tok.describe()),
-                        tok.span,
-                    );
+                    self.error_found("expected delay value");
                     Expr::Number {
                         text: "0".into(),
-                        span: tok.span,
+                        span,
                     }
                 }
             }
@@ -1036,17 +1021,14 @@ impl Parser<'_> {
     }
 
     fn parse_primary(&mut self) -> Expr {
-        let tok = self.peek().clone();
-        match &tok.kind {
-            TokenKind::Number => {
-                self.bump();
-                Expr::Number {
-                    text: tok.text,
-                    span: tok.span,
-                }
-            }
+        let (kind, span) = (self.peek().kind, self.peek().span);
+        match kind {
+            TokenKind::Number => Expr::Number {
+                text: self.bump_text(),
+                span,
+            },
             TokenKind::Ident => {
-                self.bump();
+                let name = self.bump_text();
                 if self.check(Punct::LParen) {
                     // Function call in expression position.
                     self.bump();
@@ -1061,19 +1043,16 @@ impl Parser<'_> {
                     }
                     self.expect(Punct::RParen);
                     return Expr::Call {
-                        name: tok.text,
+                        name,
                         args: call_args,
-                        span: tok.span,
+                        span,
                     };
                 }
-                Expr::Ident {
-                    name: tok.text,
-                    span: tok.span,
-                }
+                Expr::Ident { name, span }
             }
-            TokenKind::SysIdent if tok.text == "$time" => {
+            TokenKind::SysIdent if self.peek().text == "$time" => {
                 self.bump();
-                Expr::Time { span: tok.span }
+                Expr::Time { span }
             }
             TokenKind::Punct(Punct::LParen) => {
                 self.bump();
@@ -1117,11 +1096,11 @@ impl Parser<'_> {
                 Expr::Concat(parts)
             }
             _ => {
-                self.error(format!("syntax error near {}", tok.describe()), tok.span);
+                self.error_near();
                 self.bump();
                 Expr::Number {
                     text: "0".into(),
-                    span: tok.span,
+                    span,
                 }
             }
         }

@@ -1,10 +1,11 @@
 //! Token definitions for the Verilog-2001 subset.
 
 use aivril_hdl::source::Span;
+use std::borrow::Cow;
 use std::fmt;
 
 /// Kinds of token the lexer produces.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TokenKind {
     /// Identifier or keyword text is kept in [`Token::text`]; keywords
     /// are distinguished by [`TokenKind::Keyword`].
@@ -209,10 +210,13 @@ pub enum Punct {
     Star2, // **
 }
 
-impl fmt::Display for Punct {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl Punct {
+    /// Canonical source spelling; `^~` lexes as [`Punct::TildeCaret`]
+    /// and reads `~^`.
+    #[must_use]
+    pub fn as_str(self) -> &'static str {
         use Punct::*;
-        let s = match self {
+        match self {
             LParen => "(",
             RParen => ")",
             LBracket => "[",
@@ -253,23 +257,33 @@ impl fmt::Display for Punct {
             Shl => "<<",
             Shr => ">>",
             Star2 => "**",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for Punct {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
     }
 }
 
 /// One lexed token.
+///
+/// The text borrows from the source (or, for punctuation, from
+/// [`Punct::as_str`]); it is owned only where the lexer rewrites bytes:
+/// strings with escapes or non-ASCII bytes, and numbers with inner
+/// whitespace.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Token {
+pub struct Token<'src> {
     /// What kind of token.
     pub kind: TokenKind,
     /// Source text (unquoted for strings).
-    pub text: String,
+    pub text: Cow<'src, str>,
     /// Source location.
     pub span: Span,
 }
 
-impl Token {
+impl Token<'_> {
     /// Short human-readable description for error messages, e.g. `';'`
     /// or `'endmodule'`.
     #[must_use]

@@ -6,10 +6,11 @@
 
 use aivril_hdl::diag::{codes, Diagnostic, Diagnostics};
 use aivril_hdl::source::{FileId, Span};
+use std::borrow::Cow;
 use std::fmt;
 
 /// Kinds of token the VHDL lexer produces.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TokenKind {
     /// Identifier (lowercased). Keywords are [`TokenKind::Keyword`].
     Ident,
@@ -238,10 +239,12 @@ pub enum Punct {
     Star2,
 }
 
-impl fmt::Display for Punct {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl Punct {
+    /// Canonical source spelling.
+    #[must_use]
+    pub fn as_str(self) -> &'static str {
         use Punct::*;
-        let s = match self {
+        match self {
             LParen => "(",
             RParen => ")",
             Semi => ";",
@@ -264,23 +267,33 @@ impl fmt::Display for Punct {
             Star => "*",
             Slash => "/",
             Star2 => "**",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for Punct {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
     }
 }
 
 /// One lexed token.
+///
+/// The text borrows from the source (or, for punctuation, from
+/// [`Punct::as_str`]); it is owned only where the lexer rewrites bytes:
+/// identifiers with uppercase letters (lowercased) and numbers with
+/// `_` separators (removed).
 #[derive(Debug, Clone, PartialEq)]
-pub struct Token {
+pub struct Token<'src> {
     /// Kind.
     pub kind: TokenKind,
     /// Text (lowercased identifiers; unquoted literal contents).
-    pub text: String,
+    pub text: Cow<'src, str>,
     /// Location.
     pub span: Span,
 }
 
-impl Token {
+impl Token<'_> {
     /// Human-readable description for error messages.
     #[must_use]
     pub fn describe(&self) -> String {
@@ -294,7 +307,7 @@ impl Token {
 }
 
 /// Lexes VHDL `text` into tokens, appending errors to `diags`.
-pub fn lex(file: FileId, text: &str, diags: &mut Diagnostics) -> Vec<Token> {
+pub fn lex<'src>(file: FileId, text: &'src str, diags: &mut Diagnostics) -> Vec<Token<'src>> {
     let bytes = text.as_bytes();
     let mut tokens = Vec::new();
     let mut pos = 0usize;
@@ -324,7 +337,7 @@ pub fn lex(file: FileId, text: &str, diags: &mut Diagnostics) -> Vec<Token> {
                     while pos < bytes.len() && bytes[pos] != b'"' {
                         pos += 1;
                     }
-                    let content = text[content_start..pos].to_string();
+                    let content = &text[content_start..pos];
                     if pos < bytes.len() {
                         pos += 1;
                     } else {
@@ -336,12 +349,16 @@ pub fn lex(file: FileId, text: &str, diags: &mut Diagnostics) -> Vec<Token> {
                     }
                     tokens.push(Token {
                         kind: TokenKind::HexString,
-                        text: content,
+                        text: Cow::Borrowed(content),
                         span: span(start, pos),
                     });
                     continue;
                 }
-                let lower = raw.to_ascii_lowercase();
+                let lower = if raw.bytes().any(|b| b.is_ascii_uppercase()) {
+                    Cow::Owned(raw.to_ascii_lowercase())
+                } else {
+                    Cow::Borrowed(raw)
+                };
                 let kind = match Keyword::from_str(&lower) {
                     Some(kw) => TokenKind::Keyword(kw),
                     None => TokenKind::Ident,
@@ -356,9 +373,14 @@ pub fn lex(file: FileId, text: &str, diags: &mut Diagnostics) -> Vec<Token> {
                 while matches!(bytes.get(pos), Some(b'0'..=b'9' | b'_')) {
                     pos += 1;
                 }
+                let raw = &text[start..pos];
                 tokens.push(Token {
                     kind: TokenKind::Number,
-                    text: text[start..pos].replace('_', ""),
+                    text: if raw.contains('_') {
+                        Cow::Owned(raw.replace('_', ""))
+                    } else {
+                        Cow::Borrowed(raw)
+                    },
                     span: span(start, pos),
                 });
             }
@@ -368,7 +390,7 @@ pub fn lex(file: FileId, text: &str, diags: &mut Diagnostics) -> Vec<Token> {
                 while pos < bytes.len() && bytes[pos] != b'"' {
                     pos += 1;
                 }
-                let content = text[content_start..pos].to_string();
+                let content = &text[content_start..pos];
                 if pos < bytes.len() {
                     pos += 1;
                 } else {
@@ -380,25 +402,27 @@ pub fn lex(file: FileId, text: &str, diags: &mut Diagnostics) -> Vec<Token> {
                 }
                 tokens.push(Token {
                     kind: TokenKind::StrLit,
-                    text: content,
+                    text: Cow::Borrowed(content),
                     span: span(start, pos),
                 });
             }
             b'\'' => {
                 // Character literal '0' vs attribute tick.
                 if pos + 2 < bytes.len() && bytes[pos + 2] == b'\'' {
-                    let ch = text[pos + 1..pos + 2].to_string();
+                    // A quote two bytes on means the byte between is ASCII
+                    // (the source is UTF-8), so this slice is one char.
+                    let ch = &text[pos + 1..pos + 2];
                     pos += 3;
                     tokens.push(Token {
                         kind: TokenKind::CharLit,
-                        text: ch,
+                        text: Cow::Borrowed(ch),
                         span: span(start, pos),
                     });
                 } else {
                     pos += 1;
                     tokens.push(Token {
                         kind: TokenKind::Punct(Punct::Tick),
-                        text: "'".into(),
+                        text: Cow::Borrowed(Punct::Tick.as_str()),
                         span: span(start, pos),
                     });
                 }
@@ -441,7 +465,7 @@ pub fn lex(file: FileId, text: &str, diags: &mut Diagnostics) -> Vec<Token> {
                 pos += len;
                 tokens.push(Token {
                     kind: TokenKind::Punct(p),
-                    text: p.to_string(),
+                    text: Cow::Borrowed(p.as_str()),
                     span: span(start, pos),
                 });
             }
@@ -449,7 +473,7 @@ pub fn lex(file: FileId, text: &str, diags: &mut Diagnostics) -> Vec<Token> {
     }
     tokens.push(Token {
         kind: TokenKind::Eof,
-        text: String::new(),
+        text: Cow::Borrowed(""),
         span: span(bytes.len(), bytes.len()),
     });
     tokens
@@ -460,7 +484,7 @@ mod tests {
     use super::*;
     use aivril_hdl::source::SourceMap;
 
-    fn lex_ok(src: &str) -> Vec<Token> {
+    fn lex_ok(src: &str) -> Vec<Token<'_>> {
         let mut sources = SourceMap::new();
         let file = sources.add_file("t.vhd", src);
         let mut diags = Diagnostics::new();
@@ -514,7 +538,7 @@ mod tests {
     fn compound_operators() {
         use Punct::*;
         let toks = lex_ok(":= <= => /= >= **");
-        let kinds: Vec<_> = toks[..6].iter().map(|t| t.kind.clone()).collect();
+        let kinds: Vec<_> = toks[..6].iter().map(|t| t.kind).collect();
         assert_eq!(
             kinds,
             vec![
@@ -526,6 +550,22 @@ mod tests {
                 TokenKind::Punct(Star2),
             ]
         );
+    }
+
+    #[test]
+    fn text_borrows_except_where_rewritten() {
+        let toks = lex_ok("entity Foo is x\"A5\" '0' \"s\" 1_0 10 <= end");
+        let owned: Vec<&str> = toks
+            .iter()
+            .filter(|t| matches!(t.text, Cow::Owned(_)))
+            .map(|t| &*t.text)
+            .collect();
+        assert_eq!(owned, ["foo", "10"]);
+    }
+
+    #[test]
+    fn token_is_no_larger_than_with_owned_text() {
+        assert!(std::mem::size_of::<Token<'_>>() <= 40);
     }
 
     #[test]

@@ -6,7 +6,7 @@ use aivril_hdl::diag::{codes, Diagnostic, Diagnostics};
 use aivril_hdl::source::Span;
 
 /// Parses a token stream into a design file, appending errors to `diags`.
-pub fn parse(tokens: Vec<Token>, diags: &mut Diagnostics) -> DesignFile {
+pub fn parse(tokens: Vec<Token<'_>>, diags: &mut Diagnostics) -> DesignFile {
     let mut p = Parser {
         tokens,
         pos: 0,
@@ -33,14 +33,7 @@ pub fn parse(tokens: Vec<Token>, diags: &mut Diagnostics) -> DesignFile {
                 p.skip_to_design_unit();
             }
         } else {
-            let tok = p.peek().clone();
-            p.error(
-                format!(
-                    "expected 'entity' or 'architecture', found {}",
-                    tok.describe()
-                ),
-                tok.span,
-            );
+            p.error_found("expected 'entity' or 'architecture'");
             p.bump();
             p.skip_to_design_unit();
         }
@@ -48,18 +41,18 @@ pub fn parse(tokens: Vec<Token>, diags: &mut Diagnostics) -> DesignFile {
     file
 }
 
-struct Parser<'d> {
-    tokens: Vec<Token>,
+struct Parser<'src, 'd> {
+    tokens: Vec<Token<'src>>,
     pos: usize,
     diags: &'d mut Diagnostics,
 }
 
-impl Parser<'_> {
-    fn peek(&self) -> &Token {
+impl<'src> Parser<'src, '_> {
+    fn peek(&self) -> &Token<'src> {
         &self.tokens[self.pos.min(self.tokens.len() - 1)]
     }
 
-    fn peek2(&self) -> &Token {
+    fn peek2(&self) -> &Token<'src> {
         &self.tokens[(self.pos + 1).min(self.tokens.len() - 1)]
     }
 
@@ -67,12 +60,28 @@ impl Parser<'_> {
         self.peek().kind == TokenKind::Eof
     }
 
-    fn bump(&mut self) -> Token {
-        let t = self.peek().clone();
-        if self.pos < self.tokens.len() - 1 {
-            self.pos += 1;
+    /// Advances past the current token and hands it over. The parser
+    /// never looks behind the cursor, so the text moves out of the
+    /// stream rather than being copied. The last token (end of input)
+    /// is never passed and stays in place.
+    fn bump(&mut self) -> Token<'src> {
+        let last = self.tokens.len() - 1;
+        if self.pos >= last {
+            return self.tokens[last].clone();
         }
-        t
+        self.pos += 1;
+        let t = &mut self.tokens[self.pos - 1];
+        Token {
+            kind: t.kind,
+            text: std::mem::take(&mut t.text),
+            span: t.span,
+        }
+    }
+
+    /// Advances and returns the token's text for storing in the AST —
+    /// the parser's only per-token allocation.
+    fn bump_text(&mut self) -> String {
+        self.bump().text.into_owned()
     }
 
     fn check(&self, p: Punct) -> bool {
@@ -108,15 +117,28 @@ impl Parser<'_> {
         }
     }
 
-    fn expect(&mut self, p: Punct) -> Option<Token> {
+    /// Reports `"{expected}, found <current token>"` at the current token.
+    fn error_found(&mut self, expected: &str) {
+        let tok = self.peek();
+        let message = format!("{expected}, found {}", tok.describe());
+        let span = tok.span;
+        self.error(message, span);
+    }
+
+    /// Reports a syntax error at the current token.
+    fn error_near(&mut self) {
+        let tok = self.peek();
+        let message = format!("syntax error near {}", tok.describe());
+        let span = tok.span;
+        self.error(message, span);
+    }
+
+    /// Consumes `p`, returning its span, or reports what was found.
+    fn expect(&mut self, p: Punct) -> Option<Span> {
         if self.check(p) {
-            return Some(self.bump());
+            return Some(self.bump().span);
         }
-        let tok = self.peek().clone();
-        self.error(
-            format!("expected '{p}', found {}", tok.describe()),
-            tok.span,
-        );
+        self.error_found(&format!("expected '{p}'"));
         None
     }
 
@@ -124,24 +146,16 @@ impl Parser<'_> {
         if self.eat_kw(k) {
             return Some(());
         }
-        let tok = self.peek().clone();
-        self.error(
-            format!("expected '{}', found {}", k.as_str(), tok.describe()),
-            tok.span,
-        );
+        self.error_found(&format!("expected '{}'", k.as_str()));
         None
     }
 
     fn expect_ident(&mut self) -> Option<(String, Span)> {
         if self.peek().kind == TokenKind::Ident {
             let t = self.bump();
-            return Some((t.text, t.span));
+            return Some((t.text.into_owned(), t.span));
         }
-        let tok = self.peek().clone();
-        self.error(
-            format!("expected identifier, found {}", tok.describe()),
-            tok.span,
-        );
+        self.error_found("expected identifier");
         None
     }
 
@@ -244,11 +258,7 @@ impl Parser<'_> {
                 } else if self.eat_kw(Kw::Inout) {
                     PortDir::Inout
                 } else {
-                    let tok = self.peek().clone();
-                    self.error(
-                        format!("expected port direction, found {}", tok.describe()),
-                        tok.span,
-                    );
+                    self.error_found("expected port direction");
                     PortDir::In
                 };
                 let ty = self.parse_type_mark()?;
@@ -292,11 +302,7 @@ impl Parser<'_> {
                     self.bump();
                     let _ = self.parse_expr();
                     if !(self.eat_kw(Kw::To) || self.eat_kw(Kw::Downto)) {
-                        let tok = self.peek().clone();
-                        self.error(
-                            format!("expected 'to' or 'downto', found {}", tok.describe()),
-                            tok.span,
-                        );
+                        self.error_found("expected 'to' or 'downto'");
                     }
                     let _ = self.parse_expr();
                 }
@@ -310,11 +316,7 @@ impl Parser<'_> {
                 } else if self.eat_kw(Kw::To) {
                     false
                 } else {
-                    let tok = self.peek().clone();
-                    self.error(
-                        format!("expected 'downto' or 'to', found {}", tok.describe()),
-                        tok.span,
-                    );
+                    self.error_found("expected 'downto' or 'to'");
                     true
                 };
                 let right = self.parse_expr();
@@ -378,11 +380,7 @@ impl Parser<'_> {
                     self.bump();
                 }
             } else {
-                let tok = self.peek().clone();
-                self.error(
-                    format!("expected declaration or 'begin', found {}", tok.describe()),
-                    tok.span,
-                );
+                self.error_found("expected declaration or 'begin'");
                 return None;
             }
         }
@@ -443,7 +441,6 @@ impl Parser<'_> {
             // Process-declarative part: variable declarations.
             let mut variables = Vec::new();
             while !self.check_kw(Kw::Begin) && !self.at_eof() {
-                let tok = self.peek().clone();
                 if self.eat_kw(Kw::Variable) {
                     let mut names = vec![self.expect_ident()?];
                     while self.eat(Punct::Comma) {
@@ -459,10 +456,7 @@ impl Parser<'_> {
                     self.expect(Punct::Semi)?;
                     variables.push(VarDecl { names, ty, init });
                 } else {
-                    self.error(
-                        format!("expected 'variable' or 'begin', found {}", tok.describe()),
-                        tok.span,
-                    );
+                    self.error_found("expected 'variable' or 'begin'");
                     return None;
                 }
             }
@@ -573,7 +567,7 @@ impl Parser<'_> {
     }
 
     fn parse_seq_stmt(&mut self) -> Option<SeqStmt> {
-        let tok = self.peek().clone();
+        let stmt_span = self.peek().span;
         if self.eat_kw(Kw::If) {
             let mut arms = Vec::new();
             let cond = self.parse_expr();
@@ -623,14 +617,13 @@ impl Parser<'_> {
             return Some(SeqStmt::Case {
                 subject,
                 arms,
-                span: tok.span,
+                span: stmt_span,
             });
         }
         if self.eat_kw(Kw::For) {
             let (var, _) = self.expect_ident()?;
             if !(self.peek().kind == TokenKind::Keyword(Kw::In)) {
-                let t = self.peek().clone();
-                self.error(format!("expected 'in', found {}", t.describe()), t.span);
+                self.error_found("expected 'in'");
                 return None;
             }
             self.bump();
@@ -653,7 +646,7 @@ impl Parser<'_> {
                 to,
                 downto,
                 body,
-                span: tok.span,
+                span: stmt_span,
             });
         }
         if self.eat_kw(Kw::While) {
@@ -671,7 +664,7 @@ impl Parser<'_> {
                 self.expect(Punct::Semi)?;
                 return Some(SeqStmt::WaitFor {
                     amount,
-                    span: tok.span,
+                    span: stmt_span,
                 });
             }
             if self.eat_kw(Kw::Until) {
@@ -680,11 +673,11 @@ impl Parser<'_> {
                 self.expect(Punct::Semi)?;
                 return Some(SeqStmt::WaitUntil {
                     cond,
-                    span: tok.span,
+                    span: stmt_span,
                 });
             }
             self.expect(Punct::Semi)?;
-            return Some(SeqStmt::WaitForever { span: tok.span });
+            return Some(SeqStmt::WaitForever { span: stmt_span });
         }
         if self.eat_kw(Kw::Assert) {
             let cond = self.parse_expr();
@@ -699,7 +692,7 @@ impl Parser<'_> {
                 cond,
                 report,
                 severity,
-                span: tok.span,
+                span: stmt_span,
             });
         }
         if self.eat_kw(Kw::Report) {
@@ -709,7 +702,7 @@ impl Parser<'_> {
             return Some(SeqStmt::Report {
                 message,
                 severity,
-                span: tok.span,
+                span: stmt_span,
             });
         }
         if self.eat_kw(Kw::Null) {
@@ -718,7 +711,7 @@ impl Parser<'_> {
         }
         // Signal (`<=`) or variable (`:=`) assignment.
         let target = self.parse_name_expr()?;
-        let span = target.span().unwrap_or(tok.span);
+        let span = target.span().unwrap_or(stmt_span);
         if self.eat(Punct::Assign) {
             let value = self.parse_expr();
             self.expect(Punct::Semi)?;
@@ -731,8 +724,8 @@ impl Parser<'_> {
         self.expect(Punct::SigAssign)?;
         let value = self.parse_expr();
         if self.eat_kw(Kw::After) {
-            let t = self.peek().clone();
-            self.error("'after' delays are not supported".into(), t.span);
+            let at = self.peek().span;
+            self.error("'after' delays are not supported".into(), at);
             let _ = self.parse_time_expr();
         }
         self.expect(Punct::Semi)?;
@@ -745,13 +738,9 @@ impl Parser<'_> {
 
     fn parse_message(&mut self) -> Option<String> {
         if self.peek().kind == TokenKind::StrLit {
-            return Some(self.bump().text);
+            return Some(self.bump_text());
         }
-        let tok = self.peek().clone();
-        self.error(
-            format!("expected a string message, found {}", tok.describe()),
-            tok.span,
-        );
+        self.error_found("expected a string message");
         None
     }
 
@@ -777,8 +766,7 @@ impl Parser<'_> {
     fn parse_time_expr(&mut self) -> Expr {
         let e = self.parse_expr();
         if self.peek().kind == TokenKind::Ident {
-            let unit = self.peek().text.clone();
-            let mult: Option<i64> = match unit.as_str() {
+            let mult: Option<i64> = match &*self.peek().text {
                 "ns" => Some(1),
                 "us" => Some(1_000),
                 "ms" => Some(1_000_000),
@@ -949,94 +937,60 @@ impl Parser<'_> {
     }
 
     fn parse_primary(&mut self) -> Expr {
-        let tok = self.peek().clone();
-        match &tok.kind {
+        let (kind, span) = (self.peek().kind, self.peek().span);
+        match kind {
             TokenKind::Number => {
-                self.bump();
-                let value = tok.text.parse::<i64>().unwrap_or({
+                let value = self.bump().text.parse::<i64>().unwrap_or({
                     // Lexer guarantees digits; overflow falls back to 0.
                     0
                 });
-                Expr::Int {
-                    value,
-                    span: tok.span,
-                }
+                Expr::Int { value, span }
             }
-            TokenKind::CharLit => {
-                self.bump();
-                Expr::CharLit {
-                    ch: tok.text.chars().next().unwrap_or('0'),
-                    span: tok.span,
-                }
-            }
+            TokenKind::CharLit => Expr::CharLit {
+                ch: self.bump().text.chars().next().unwrap_or('0'),
+                span,
+            },
             TokenKind::StrLit => {
-                self.bump();
-                let is_bits = !tok.text.is_empty()
-                    && tok
-                        .text
+                let text = self.bump_text();
+                let is_bits = !text.is_empty()
+                    && text
                         .chars()
                         .all(|c| matches!(c, '0' | '1' | 'x' | 'X' | 'z' | 'Z'));
                 if is_bits {
-                    Expr::BitString {
-                        bits: tok.text,
-                        span: tok.span,
-                    }
+                    Expr::BitString { bits: text, span }
                 } else {
-                    Expr::StrLit {
-                        text: tok.text,
-                        span: tok.span,
-                    }
+                    Expr::StrLit { text, span }
                 }
             }
-            TokenKind::HexString => {
-                self.bump();
-                Expr::HexString {
-                    digits: tok.text,
-                    span: tok.span,
-                }
-            }
+            TokenKind::HexString => Expr::HexString {
+                digits: self.bump_text(),
+                span,
+            },
             TokenKind::Keyword(Kw::True) => {
                 self.bump();
-                Expr::Bool {
-                    value: true,
-                    span: tok.span,
-                }
+                Expr::Bool { value: true, span }
             }
             TokenKind::Keyword(Kw::False) => {
                 self.bump();
-                Expr::Bool {
-                    value: false,
-                    span: tok.span,
-                }
+                Expr::Bool { value: false, span }
             }
             TokenKind::Keyword(Kw::Others) => {
                 // Bare `others` only appears inside aggregates; handled in
                 // the LParen branch. Reaching it here is an error.
                 self.bump();
-                self.error(
-                    "'others' is only valid inside an aggregate".into(),
-                    tok.span,
-                );
-                Expr::Int {
-                    value: 0,
-                    span: tok.span,
-                }
+                self.error("'others' is only valid inside an aggregate".into(), span);
+                Expr::Int { value: 0, span }
             }
             TokenKind::Ident => {
-                self.bump();
-                let name = tok.text;
+                let name = self.bump_text();
                 // Attribute?
                 if self.check(Punct::Tick) {
                     self.bump();
                     let (attr, _) = match self.expect_ident() {
                         Some(a) => a,
-                        None => ("event".to_string(), tok.span),
+                        None => ("event".to_string(), span),
                     };
-                    return Expr::Attr {
-                        name,
-                        attr,
-                        span: tok.span,
-                    };
+                    return Expr::Attr { name, attr, span };
                 }
                 // Call / index / slice?
                 if self.eat(Punct::LParen) {
@@ -1049,7 +1003,7 @@ impl Parser<'_> {
                             left: Box::new(first),
                             right: Box::new(right),
                             downto: true,
-                            span: tok.span,
+                            span,
                         };
                     }
                     if self.eat_kw(Kw::To) {
@@ -1060,7 +1014,7 @@ impl Parser<'_> {
                             left: Box::new(first),
                             right: Box::new(right),
                             downto: false,
-                            span: tok.span,
+                            span,
                         };
                     }
                     let mut args = vec![first];
@@ -1068,16 +1022,9 @@ impl Parser<'_> {
                         args.push(self.parse_expr());
                     }
                     self.expect(Punct::RParen);
-                    return Expr::Call {
-                        name,
-                        args,
-                        span: tok.span,
-                    };
+                    return Expr::Call { name, args, span };
                 }
-                Expr::Ident {
-                    name,
-                    span: tok.span,
-                }
+                Expr::Ident { name, span }
             }
             TokenKind::Punct(Punct::LParen) => {
                 self.bump();
@@ -1087,7 +1034,7 @@ impl Parser<'_> {
                     self.expect(Punct::RParen);
                     return Expr::Aggregate {
                         fill: Box::new(fill),
-                        span: tok.span,
+                        span,
                     };
                 }
                 let e = self.parse_expr();
@@ -1095,12 +1042,9 @@ impl Parser<'_> {
                 e
             }
             _ => {
-                self.error(format!("syntax error near {}", tok.describe()), tok.span);
+                self.error_near();
                 self.bump();
-                Expr::Int {
-                    value: 0,
-                    span: tok.span,
-                }
+                Expr::Int { value: 0, span }
             }
         }
     }
@@ -1108,18 +1052,15 @@ impl Parser<'_> {
     /// Restricted name expression for assignment targets: identifier,
     /// index `a(3)`, or slice `a(7 downto 0)`.
     fn parse_name_expr(&mut self) -> Option<Expr> {
-        let tok = self.peek().clone();
-        if tok.kind != TokenKind::Ident {
-            self.error(
-                format!("expected a signal name, found {}", tok.describe()),
-                tok.span,
-            );
+        if self.peek().kind != TokenKind::Ident {
+            self.error_found("expected a signal name");
             return None;
         }
+        let span = self.peek().span;
         match self.parse_primary() {
             e @ (Expr::Ident { .. } | Expr::Call { .. } | Expr::Slice { .. }) => Some(e),
             _ => {
-                self.error("illegal assignment target".into(), tok.span);
+                self.error("illegal assignment target".into(), span);
                 None
             }
         }
