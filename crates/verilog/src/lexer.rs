@@ -232,13 +232,13 @@ impl<'src> Lexer<'src> {
         }
         if self.bytes.get(look) == Some(&b'\'') {
             self.pos = look + 1;
-            // Base character.
-            match self.bytes.get(self.pos) {
-                Some(b'b' | b'B' | b'o' | b'O' | b'd' | b'D' | b'h' | b'H' | b's' | b'S') => {
-                    if matches!(self.bytes.get(self.pos), Some(b's' | b'S')) {
-                        self.pos += 1; // signed marker, rare; tolerate
-                    }
-                    self.pos += 1;
+            // Base character, after an optional signed marker. Only an
+            // actual base is stepped over, so the cursor stays on a char
+            // boundary whatever follows.
+            let signed = usize::from(matches!(self.bytes.get(self.pos), Some(b's' | b'S')));
+            match self.bytes.get(self.pos + signed) {
+                Some(b'b' | b'B' | b'o' | b'O' | b'd' | b'D' | b'h' | b'H') => {
+                    self.pos += signed + 1;
                     // Optional whitespace between base and digits.
                     while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t')) {
                         self.pos += 1;
@@ -434,6 +434,29 @@ mod tests {
     fn non_ascii_string_bytes_decode_one_char_each() {
         let toks = lex_ok("\"caf\u{e9}\"");
         assert_eq!(toks[0].text, "caf\u{c3}\u{a9}");
+    }
+
+    #[test]
+    fn signed_marker_without_base_is_an_error_not_a_panic() {
+        for src in ["8's\u{e9}", "4's", "'S", "8'sq1"] {
+            let mut sources = SourceMap::new();
+            let file = sources.add_file("t.v", src);
+            let mut diags = Diagnostics::new();
+            let toks = lex(file, src, &mut diags);
+            assert!(
+                diags
+                    .all()
+                    .iter()
+                    .any(|d| d.message.contains("base specifier")),
+                "{src:?}: {:?}",
+                diags.all()
+            );
+            assert_eq!(toks[0].kind, TokenKind::Number, "{src:?}");
+            assert!(toks[0].text.ends_with('\''), "{src:?}: {:?}", toks[0].text);
+        }
+        let toks = lex_ok("16'sd1_000 4'Sb1");
+        let texts: Vec<&str> = toks[..2].iter().map(|t| &*t.text).collect();
+        assert_eq!(texts, ["16'sd1_000", "4'Sb1"]);
     }
 
     #[test]

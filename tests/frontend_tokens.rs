@@ -190,6 +190,33 @@ fn verilog_diagnostics_quote_tokens_unchanged() {
     );
 }
 
+/// A signed marker with no base after it is a diagnosed error, whatever
+/// byte follows (here a non-ASCII char, and the end of input). These are
+/// kept out of `VERILOG_EDGES`: the lexer used to step over the byte
+/// after the `s`, so no earlier stream exists to pin against.
+#[test]
+fn verilog_signed_marker_without_base_is_diagnosed() {
+    let logs: Vec<String> = [
+        "module m; wire w = 8's\u{e9};\nendmodule",
+        "module m; wire w = 4's",
+    ]
+    .into_iter()
+    .map(verilog_log)
+    .collect();
+    assert_eq!(
+        logs,
+        [
+            "ERROR: [VRFC 10-91] expected base specifier after \"'\" in number literal [bad.v:1]\n\
+             ERROR: [VRFC 10-91] unexpected character '\u{c3}' [bad.v:1]\n\
+             ERROR: [VRFC 10-91] unexpected character '\u{a9}' [bad.v:1]\n\
+             ERROR: [VRFC 10-91] expected ';', found 's' [bad.v:1]\n",
+            "ERROR: [VRFC 10-91] expected base specifier after \"'\" in number literal [bad.v:1]\n\
+             ERROR: [VRFC 10-91] expected ';', found 's' [bad.v:1]\n\
+             ERROR: [VRFC 10-91] expected 'endmodule', found end of file [bad.v:1]\n",
+        ]
+    );
+}
+
 #[test]
 fn vhdl_diagnostics_quote_tokens_unchanged() {
     let logs: Vec<String> = [
