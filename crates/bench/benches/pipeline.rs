@@ -9,8 +9,10 @@
 use aivril_bench::{build_library, Harness, HarnessConfig};
 use aivril_core::{Aivril2, Aivril2Config, TaskInput};
 use aivril_eda::{HdlFile, ToolSuite, XsimToolSuite};
+use aivril_hdl::diag::Diagnostics;
 use aivril_hdl::source::SourceMap;
 use aivril_llm::{profiles, SimLlm};
+use aivril_sim::{SimConfig, Simulator};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
@@ -79,6 +81,72 @@ fn bench_lex_parse_suite(c: &mut Criterion) {
     });
 }
 
+/// One golden pair (DUT + testbench) per problem, as the EDA layer
+/// compiles it.
+fn suite_pairs(h: &Harness, verilog: bool) -> Vec<SourceMap> {
+    let ext = if verilog { "v" } else { "vhd" };
+    h.problems()
+        .iter()
+        .map(|p| {
+            let pair = p.golden(verilog);
+            let mut sources = SourceMap::new();
+            sources.add_file(format!("dut.{ext}"), pair.dut.clone());
+            sources.add_file(format!("tb.{ext}"), pair.tb.clone());
+            sources
+        })
+        .collect()
+}
+
+/// Elaboration alone: every suite pair is parsed once up front, then
+/// each iteration elaborates all 156 testbench tops.
+fn bench_elab_suite(c: &mut Criterion) {
+    let h = harness();
+    let verilog: Vec<_> = suite_pairs(&h, true)
+        .iter()
+        .map(|s| aivril_verilog::analyze(s).0)
+        .collect();
+    let vhdl: Vec<_> = suite_pairs(&h, false)
+        .iter()
+        .map(|s| aivril_vhdl::analyze(s).0)
+        .collect();
+    c.bench_function("elab_suite_verilog", |b| {
+        b.iter(|| {
+            for unit in &verilog {
+                let mut diags = Diagnostics::new();
+                black_box(aivril_verilog::elaborate(black_box(unit), "tb", &mut diags));
+            }
+        })
+    });
+    c.bench_function("elab_suite_vhdl", |b| {
+        b.iter(|| {
+            for file in &vhdl {
+                let mut diags = Diagnostics::new();
+                black_box(aivril_vhdl::elaborate(black_box(file), "tb", &mut diags));
+            }
+        })
+    });
+}
+
+/// Bytecode lowering alone: `Simulator::new` over the elaborated
+/// testbench of every suite pair in both languages (312 designs).
+fn bench_lower_suite(c: &mut Criterion) {
+    let h = harness();
+    let mut designs = Vec::new();
+    for sources in suite_pairs(&h, true) {
+        designs.push(aivril_verilog::compile(&sources, "tb").expect("golden pair compiles"));
+    }
+    for sources in suite_pairs(&h, false) {
+        designs.push(aivril_vhdl::compile(&sources, "tb").expect("golden pair compiles"));
+    }
+    c.bench_function("lower_suite", |b| {
+        b.iter(|| {
+            for design in &designs {
+                black_box(Simulator::new(black_box(design), SimConfig::default()));
+            }
+        })
+    });
+}
+
 /// Event-kernel throughput: full simulation of an exhaustive
 /// combinational testbench (64 vectors) and a sequential one.
 fn bench_simulate(c: &mut Criterion) {
@@ -141,6 +209,8 @@ criterion_group!(
     bench_compile_verilog,
     bench_compile_vhdl,
     bench_lex_parse_suite,
+    bench_elab_suite,
+    bench_lower_suite,
     bench_simulate,
     bench_pipeline,
     bench_suite_generation

@@ -34,6 +34,7 @@ pub mod bits;
 pub mod diag;
 pub mod ir;
 pub mod logic;
+pub mod short_str;
 pub mod source;
 pub mod vec;
 

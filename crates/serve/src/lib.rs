@@ -66,7 +66,7 @@ pub mod server;
 
 pub use config::ServeConfig;
 pub use journal::JobJournal;
-pub use protocol::{Request, SubmitRequest, PROTOCOL_VERSION};
+pub use protocol::{Request, SubmitRequest, MAX_REQUEST_LINE, PROTOCOL_VERSION};
 pub use queue::{Admission, FrameSink, Job, JobQueue, QueueStats, SinkSlot};
 pub use server::Server;
 

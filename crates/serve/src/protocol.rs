@@ -50,6 +50,16 @@ pub const PROTOCOL_VERSION: u32 = 1;
 /// names and journal context values, so they stay short and printable.
 const MAX_NAME: usize = 64;
 
+/// Longest request line the server reads, newline excluded. The largest
+/// legitimate request is a `submit` whose three names are at their
+/// 64-character limit, each character escaped at worst to six bytes
+/// (`\u00XX`), plus keys and fixed values: under 1.5 KiB. A longer line
+/// is not a request, and reading it further would let one client grow
+/// the server's memory without limit.
+pub const MAX_REQUEST_LINE: usize = 4096;
+
+const _: () = assert!(3 * 6 * MAX_NAME + 256 <= MAX_REQUEST_LINE);
+
 /// One `submit` request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SubmitRequest {

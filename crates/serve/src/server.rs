@@ -17,8 +17,8 @@ use aivril_bench::Harness;
 use aivril_llm::ModelProfile;
 use aivril_obs::{render_event, Recorder};
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufRead, BufReader};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, Read};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
@@ -438,13 +438,33 @@ impl Server {
             self.config.max_inflight,
             self.config.max_queue,
         ));
-        let reader = BufReader::new(stream);
-        for line in reader.lines() {
-            let Ok(line) = line else { break };
+        let mut reader = BufReader::new(stream);
+        let mut buf = Vec::new();
+        loop {
+            buf.clear();
+            // One byte past the cap tells an over-long line from one
+            // that fits exactly; the buffer never grows beyond it.
+            let limit = protocol::MAX_REQUEST_LINE as u64 + 1;
+            match (&mut reader).take(limit).read_until(b'\n', &mut buf) {
+                Ok(0) | Err(_) => break,
+                Ok(_) => {}
+            }
+            if buf.len() > protocol::MAX_REQUEST_LINE && !buf.ends_with(b"\n") {
+                sink(&protocol::error_frame(&format!(
+                    "request line exceeds {} bytes; closing the connection",
+                    protocol::MAX_REQUEST_LINE
+                )));
+                outbox.drain(std::time::Duration::from_secs(5));
+                let _ = reader.get_ref().shutdown(Shutdown::Both);
+                break;
+            }
+            let Ok(line) = std::str::from_utf8(&buf) else {
+                break;
+            };
             if line.trim().is_empty() {
                 continue;
             }
-            match protocol::parse_request(&line) {
+            match protocol::parse_request(line) {
                 Err(e) => sink(&protocol::error_frame(&e)),
                 Ok(Request::Ping) => sink(&protocol::pong_frame()),
                 Ok(Request::Stats) => sink(&protocol::stats_frame(

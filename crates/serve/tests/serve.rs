@@ -553,3 +553,66 @@ fn stalled_client_does_not_block_other_tenants() {
         h.join().expect("workers exit after drain");
     }
 }
+
+/// A request line longer than `MAX_REQUEST_LINE` is answered with an
+/// `error` frame and its connection is closed, after reading no more
+/// than the cap; a connection opened beside it is still served.
+#[test]
+fn over_long_request_line_closes_only_its_connection() {
+    let mut config = small_config();
+    config.addr = "127.0.0.1:0".to_string();
+    let listener = TcpListener::bind(&config.addr).expect("bind ephemeral");
+    let addr = listener.local_addr().expect("bound");
+    let server = Arc::new(Server::new(config));
+    let workers = server.spawn_workers(1);
+    let accept = {
+        let server = Arc::clone(&server);
+        std::thread::spawn(move || server.serve(&listener))
+    };
+
+    let mut other = TcpStream::connect(addr).expect("connect");
+    let mut other_reader = BufReader::new(other.try_clone().expect("clone"));
+    let mut line = String::new();
+    other_reader.read_line(&mut line).expect("hello");
+
+    // Exactly one byte past the cap and no newline: the server has read
+    // everything sent when it closes, so the close is an orderly one.
+    let mut flood = TcpStream::connect(addr).expect("connect");
+    let mut flood_reader = BufReader::new(flood.try_clone().expect("clone"));
+    line.clear();
+    flood_reader.read_line(&mut line).expect("hello");
+    flood
+        .write_all(&vec![b'x'; aivril_serve::MAX_REQUEST_LINE + 1])
+        .expect("flood");
+    line.clear();
+    flood_reader.read_line(&mut line).expect("error frame");
+    assert!(line.contains("\"type\":\"error\""), "{line}");
+    assert!(line.contains("request line exceeds 4096 bytes"), "{line}");
+    line.clear();
+    assert_eq!(
+        flood_reader.read_line(&mut line).expect("eof"),
+        0,
+        "connection must be closed after the error, got {line:?}"
+    );
+
+    // The neighbour is untouched, and new connections are served.
+    writeln!(other, "{{\"type\":\"ping\"}}").expect("ping");
+    line.clear();
+    other_reader.read_line(&mut line).expect("pong");
+    assert!(line.contains("\"type\":\"pong\""), "{line}");
+    let transcript = submit_over_tcp(addr, "brisk", "b1");
+    assert!(
+        transcript[0].contains("\"type\":\"ack\""),
+        "{}",
+        transcript[0]
+    );
+
+    writeln!(other, "{{\"type\":\"shutdown\"}}").expect("shutdown");
+    line.clear();
+    other_reader.read_line(&mut line).expect("bye");
+    assert!(line.contains("\"type\":\"bye\""), "{line}");
+    accept.join().expect("accept loop exits after shutdown");
+    for h in workers {
+        h.join().expect("workers exit after drain");
+    }
+}

@@ -5,11 +5,13 @@
 //! chasing for every operator on every activation — and the hot loop of
 //! a simulation evaluates the same handful of expressions millions of
 //! times. At [`Simulator::new`](crate::Simulator::new) each process's
-//! expressions are lowered **once** into a flat [`ExprProgram`]: a
-//! post-order sequence of [`Op`]s reading and writing numbered scratch
-//! slots, executed by a tight non-recursive loop over a per-simulator
+//! expressions are lowered **once** into flat programs: post-order
+//! sequences of [`Op`]s reading and writing numbered scratch slots,
+//! executed by a tight non-recursive loop over a per-simulator
 //! [`ScratchArena`] that is allocated once and reused for every
-//! evaluation.
+//! evaluation. All programs of one simulator share one op buffer
+//! ([`Programs`]); each is a range of it, so lowering a design costs a
+//! handful of allocations rather than two or three per expression.
 //!
 //! Because every net's width is known at lowering time, `compile`
 //! additionally infers a static width bound for each scratch slot (all
@@ -39,6 +41,7 @@ use aivril_hdl::bits::{BitsRef, ScratchBuf};
 use aivril_hdl::ir::{BinaryOp, Expr, NetId, UnaryOp};
 use aivril_hdl::logic::Logic;
 use aivril_hdl::vec::LogicVec;
+use std::ops::Range;
 
 /// One bytecode instruction. `dst` is the scratch slot the result is
 /// written to; operand slots are fixed offsets from `dst` (see the
@@ -76,23 +79,32 @@ pub(crate) enum Op {
     EdgeFlag { dst: u32, net: NetId, rising: bool },
 }
 
-/// A compiled expression: the op sequence, the arena height it needs,
-/// and a static per-slot width bound. Executing it leaves the result in
-/// slot 0.
-#[derive(Debug, Clone)]
-pub(crate) struct ExprProgram {
+/// Every compiled expression of one simulator: all programs' ops back
+/// to back in one buffer, each program a range of it, and one static
+/// width bound per scratch slot across all of them. Executing a
+/// program leaves its result in slot 0.
+#[derive(Debug, Default)]
+pub(crate) struct Programs {
     ops: Vec<Op>,
-    slots: u32,
     /// Maximum width any op result can take in each slot, inferred at
-    /// compile time from the net-width environment.
+    /// compile time from the net-width environment; sizes the arena.
     slot_widths: Vec<u32>,
 }
 
-impl ExprProgram {
-    /// Scratch slots this program requires.
-    #[cfg(test)]
-    pub(crate) fn slots(&self) -> u32 {
-        self.slots
+impl Programs {
+    /// Lowers `expr` against the design's net widths
+    /// (`net_widths[net.0]`) and returns the range of [`ops`](Self::ops)
+    /// holding its program. Called once per expression at simulator
+    /// construction.
+    pub(crate) fn compile(&mut self, expr: &Expr, net_widths: &[u32]) -> Range<u32> {
+        let start = self.ops.len() as u32;
+        compile_into(expr, 0, net_widths, self);
+        start..self.ops.len() as u32
+    }
+
+    /// The ops of the program at `range`.
+    pub(crate) fn ops(&self, range: Range<u32>) -> &[Op] {
+        &self.ops[range.start as usize..range.end as usize]
     }
 
     /// Static per-slot width bounds (one entry per slot).
@@ -100,55 +112,54 @@ impl ExprProgram {
     pub(crate) fn slot_widths(&self) -> &[u32] {
         &self.slot_widths
     }
-}
 
-/// Lowers `expr` into a flat program against the design's net widths
-/// (`net_widths[net.0]`). Pure function of the expression; called once
-/// per expression at simulator construction.
-pub(crate) fn compile(expr: &Expr, net_widths: &[u32]) -> ExprProgram {
-    let mut prog = ExprProgram {
-        ops: Vec::new(),
-        slots: 0,
-        slot_widths: Vec::new(),
-    };
-    compile_into(expr, 0, net_widths, &mut prog);
-    prog
+    /// An arena sized for every program compiled so far.
+    pub(crate) fn arena(&self) -> ScratchArena {
+        let max_width = self.slot_widths.iter().copied().fold(1, u32::max);
+        ScratchArena {
+            slots: self
+                .slot_widths
+                .iter()
+                .map(|&w| ScratchBuf::with_width(w))
+                .collect(),
+            spare: ScratchBuf::with_width(max_width),
+        }
+    }
 }
 
 /// Records that slot `dst` can hold a `width`-bit result.
-fn note_width(prog: &mut ExprProgram, dst: u32, width: u32) {
+fn note_width(progs: &mut Programs, dst: u32, width: u32) {
     let d = dst as usize;
-    if d >= prog.slot_widths.len() {
-        prog.slot_widths.resize(d + 1, 1);
+    if d >= progs.slot_widths.len() {
+        progs.slot_widths.resize(d + 1, 1);
     }
-    prog.slot_widths[d] = prog.slot_widths[d].max(width.max(1));
+    progs.slot_widths[d] = progs.slot_widths[d].max(width.max(1));
 }
 
 /// Lowers `expr` with its result in `dst`; returns the static width
 /// bound of that result.
-fn compile_into(expr: &Expr, dst: u32, net_widths: &[u32], prog: &mut ExprProgram) -> u32 {
-    prog.slots = prog.slots.max(dst + 1);
+fn compile_into(expr: &Expr, dst: u32, net_widths: &[u32], progs: &mut Programs) -> u32 {
     let net_width = |net: &NetId| net_widths.get(net.0 as usize).copied().unwrap_or(1);
     let width = match expr {
         Expr::Const(value) => {
             let w = value.width();
-            prog.ops.push(Op::Const {
+            progs.ops.push(Op::Const {
                 dst,
                 value: value.clone(),
             });
             w
         }
         Expr::Net(net) => {
-            prog.ops.push(Op::Net { dst, net: *net });
+            progs.ops.push(Op::Net { dst, net: *net });
             net_width(net)
         }
         Expr::Index { net, index } => {
-            compile_into(index, dst, net_widths, prog);
-            prog.ops.push(Op::Index { dst, net: *net });
+            compile_into(index, dst, net_widths, progs);
+            progs.ops.push(Op::Index { dst, net: *net });
             1
         }
         Expr::Range { net, msb, lsb } => {
-            prog.ops.push(Op::Range {
+            progs.ops.push(Op::Range {
                 dst,
                 net: *net,
                 msb: *msb,
@@ -157,17 +168,17 @@ fn compile_into(expr: &Expr, dst: u32, net_widths: &[u32], prog: &mut ExprProgra
             msb.max(lsb) - msb.min(lsb) + 1
         }
         Expr::Unary { op, operand } => {
-            let w = compile_into(operand, dst, net_widths, prog);
-            prog.ops.push(Op::Unary { dst, op: *op });
+            let w = compile_into(operand, dst, net_widths, progs);
+            progs.ops.push(Op::Unary { dst, op: *op });
             match op {
                 UnaryOp::Not | UnaryOp::Negate => w,
                 _ => 1,
             }
         }
         Expr::Binary { op, lhs, rhs } => {
-            let wl = compile_into(lhs, dst, net_widths, prog);
-            let wr = compile_into(rhs, dst + 1, net_widths, prog);
-            prog.ops.push(Op::Binary { dst, op: *op });
+            let wl = compile_into(lhs, dst, net_widths, progs);
+            let wr = compile_into(rhs, dst + 1, net_widths, progs);
+            progs.ops.push(Op::Binary { dst, op: *op });
             match op {
                 BinaryOp::And
                 | BinaryOp::Or
@@ -186,43 +197,43 @@ fn compile_into(expr: &Expr, dst: u32, net_widths: &[u32], prog: &mut ExprProgra
             // Both arms are always evaluated (expressions are pure, so
             // this is unobservable); Select picks per the tree walker's
             // exact rules, including the unknown-condition X-merge.
-            compile_into(cond, dst, net_widths, prog);
-            let wt = compile_into(then, dst + 1, net_widths, prog);
-            let we = compile_into(els, dst + 2, net_widths, prog);
-            prog.ops.push(Op::Select { dst });
+            compile_into(cond, dst, net_widths, progs);
+            let wt = compile_into(then, dst + 1, net_widths, progs);
+            let we = compile_into(els, dst + 2, net_widths, progs);
+            progs.ops.push(Op::Select { dst });
             wt.max(we)
         }
         Expr::Concat(parts) => match parts.split_first() {
             None => {
-                prog.ops.push(Op::Const {
+                progs.ops.push(Op::Const {
                     dst,
                     value: LogicVec::zeros(1),
                 });
                 1
             }
             Some((first, rest)) => {
-                let mut acc = compile_into(first, dst, net_widths, prog);
+                let mut acc = compile_into(first, dst, net_widths, progs);
                 for part in rest {
-                    let wp = compile_into(part, dst + 1, net_widths, prog);
-                    prog.ops.push(Op::Concat2 { dst });
+                    let wp = compile_into(part, dst + 1, net_widths, progs);
+                    progs.ops.push(Op::Concat2 { dst });
                     acc = acc.saturating_add(wp);
-                    note_width(prog, dst, acc);
+                    note_width(progs, dst, acc);
                 }
                 acc
             }
         },
         Expr::Repeat { count, operand } => {
-            let w = compile_into(operand, dst, net_widths, prog);
+            let w = compile_into(operand, dst, net_widths, progs);
             let count = (*count).max(1);
-            prog.ops.push(Op::Repeat { dst, count });
+            progs.ops.push(Op::Repeat { dst, count });
             w.saturating_mul(count)
         }
         Expr::Time => {
-            prog.ops.push(Op::Time { dst });
+            progs.ops.push(Op::Time { dst });
             64
         }
         Expr::EdgeFlag { net, rising } => {
-            prog.ops.push(Op::EdgeFlag {
+            progs.ops.push(Op::EdgeFlag {
                 dst,
                 net: *net,
                 rising: *rising,
@@ -230,7 +241,7 @@ fn compile_into(expr: &Expr, dst: u32, net_widths: &[u32], prog: &mut ExprProgra
             1
         }
     };
-    note_width(prog, dst, width);
+    note_width(progs, dst, width);
     width
 }
 
@@ -255,28 +266,6 @@ pub(crate) struct ScratchArena {
 }
 
 impl ScratchArena {
-    /// Builds an arena sized for every program in `progs`.
-    pub(crate) fn for_programs<'a, I>(progs: I) -> ScratchArena
-    where
-        I: IntoIterator<Item = &'a ExprProgram>,
-    {
-        let mut widths: Vec<u32> = Vec::new();
-        let mut max_width = 1u32;
-        for prog in progs {
-            for (i, &w) in prog.slot_widths.iter().enumerate() {
-                if i >= widths.len() {
-                    widths.resize(i + 1, 1);
-                }
-                widths[i] = widths[i].max(w);
-                max_width = max_width.max(w);
-            }
-        }
-        ScratchArena {
-            slots: widths.iter().map(|&w| ScratchBuf::with_width(w)).collect(),
-            spare: ScratchBuf::with_width(max_width),
-        }
-    }
-
     /// Number of scratch slots.
     pub(crate) fn slot_count(&self) -> usize {
         self.slots.len()
@@ -310,21 +299,21 @@ impl ScratchArena {
     }
 }
 
-/// Runs `prog` against the current net `values`, leaving the result in
+/// Runs the program `ops` against the current net `values`, leaving the result in
 /// the arena's slot 0 (read it with [`ScratchArena::result`]).
 ///
 /// Every op executes in place over the pre-sized slot buffers; the only
 /// possible steady-state allocation is a slot outgrowing its static
 /// bound, which the arena counts in [`ScratchArena::allocs`].
 pub(crate) fn exec(
-    prog: &ExprProgram,
+    ops: &[Op],
     values: &[LogicVec],
     time: u64,
     last_wake: Option<NetId>,
     arena: &mut ScratchArena,
 ) {
     let ScratchArena { slots, spare } = arena;
-    for op in &prog.ops {
+    for op in ops {
         match op {
             Op::Const { dst, value } => slots[*dst as usize].load(value.as_bits()),
             Op::Net { dst, net } => slots[*dst as usize].load(values[net.0 as usize].as_bits()),
@@ -504,6 +493,13 @@ mod tests {
     use proptest::prelude::*;
     use proptest::strategy::BoxedStrategy;
 
+    /// Compiles `expr` as the only program of a fresh set.
+    fn compile_one(expr: &Expr, net_widths: &[u32]) -> (Programs, Range<u32>) {
+        let mut progs = Programs::default();
+        let ops = progs.compile(expr, net_widths);
+        (progs, ops)
+    }
+
     /// Runs `expr` through both evaluators and asserts bit-for-bit
     /// agreement (width included, via `PartialEq`).
     fn check(expr: &Expr, values: &[LogicVec], time: u64, last_wake: Option<NetId>) {
@@ -513,9 +509,9 @@ mod tests {
             last_wake,
         }
         .eval(expr);
-        let prog = compile(expr, &NET_WIDTHS);
-        let mut arena = ScratchArena::for_programs(std::iter::once(&prog));
-        exec(&prog, values, time, last_wake, &mut arena);
+        let (progs, ops) = compile_one(expr, &NET_WIDTHS);
+        let mut arena = progs.arena();
+        exec(progs.ops(ops), values, time, last_wake, &mut arena);
         assert_eq!(
             arena.result_vec(),
             oracle,
@@ -701,10 +697,10 @@ mod tests {
             .iter()
             .map(|&w| LogicVec::from_u64(w, 0x5a))
             .collect();
-        let prog = compile(&expr, &NET_WIDTHS);
-        let mut arena = ScratchArena::for_programs(std::iter::once(&prog));
+        let (progs, ops) = compile_one(&expr, &NET_WIDTHS);
+        let mut arena = progs.arena();
         for _ in 0..100 {
-            exec(&prog, &values, 0, None, &mut arena);
+            exec(progs.ops(ops.clone()), &values, 0, None, &mut arena);
         }
         assert_eq!(arena.allocs(), 0, "no growth events may occur");
     }
@@ -723,10 +719,10 @@ mod tests {
             .iter()
             .map(|&w| LogicVec::from_u64(w, 1))
             .collect();
-        let prog = compile(&expr, &NET_WIDTHS);
-        let mut arena = ScratchArena::for_programs(std::iter::once(&prog));
+        let (progs, ops) = compile_one(&expr, &NET_WIDTHS);
+        let mut arena = progs.arena();
         for _ in 0..1000 {
-            exec(&prog, &values, 0, None, &mut arena);
+            exec(progs.ops(ops.clone()), &values, 0, None, &mut arena);
         }
         assert_eq!(arena.allocs(), 0, "wide ops must stay in the arena");
         assert_eq!(arena.result_vec().to_u64(), Some(2));
@@ -746,9 +742,9 @@ mod tests {
             .iter()
             .map(|&w| LogicVec::from_u64(w, 1))
             .collect();
-        let prog = compile(&expr, &[]);
-        let mut arena = ScratchArena::for_programs(std::iter::once(&prog));
-        exec(&prog, &values, 0, None, &mut arena);
+        let (progs, ops) = compile_one(&expr, &[]);
+        let mut arena = progs.arena();
+        exec(progs.ops(ops), &values, 0, None, &mut arena);
         assert_eq!(arena.result_vec().to_u64(), Some(2));
         assert!(arena.allocs() > 0, "under-sized slots must count growth");
     }
@@ -764,16 +760,15 @@ mod tests {
                 rhs: Box::new(Expr::constant(8, i)),
             };
         }
-        let prog = compile(&expr, &NET_WIDTHS);
-        assert_eq!(prog.slots(), 2);
-        assert_eq!(prog.slot_widths(), &[8, 8]);
+        let (progs, _) = compile_one(&expr, &NET_WIDTHS);
+        assert_eq!(progs.slot_widths(), &[8, 8]);
     }
 
     #[test]
     fn empty_concat_compiles_to_one_bit_zero() {
-        let prog = compile(&Expr::Concat(vec![]), &[]);
-        let mut arena = ScratchArena::for_programs(std::iter::once(&prog));
-        exec(&prog, &[], 0, None, &mut arena);
+        let (progs, ops) = compile_one(&Expr::Concat(vec![]), &[]);
+        let mut arena = progs.arena();
+        exec(progs.ops(ops), &[], 0, None, &mut arena);
         assert_eq!(arena.result_vec(), LogicVec::zeros(1));
     }
 }

@@ -1,6 +1,6 @@
 //! The event-driven simulation kernel.
 
-use crate::bytecode::{self, ExprProgram, ScratchArena};
+use crate::bytecode::{self, Programs, ScratchArena};
 use crate::eval::EvalCtx;
 use crate::format::render_format;
 use crate::result::{LimitKind, LogLine, SimConfig, SimResult};
@@ -12,9 +12,22 @@ use aivril_hdl::logic::Logic;
 use aivril_hdl::vec::LogicVec;
 use std::collections::VecDeque;
 
-/// Sentinel in [`Simulator::nba_slots`] for instructions without a
+/// Sentinel in [`Lowered::nba_slot`] for instructions without a
 /// pre-sized nonblocking staging buffer.
 const NO_NBA_SLOT: u32 = u32::MAX;
+
+/// What [`Simulator::new`] prepared for one instruction.
+#[derive(Debug, Clone, Copy)]
+struct Lowered {
+    /// `ops_start..ops_end` is the range of [`Simulator::programs`]
+    /// holding the instruction's compiled expression; empty when it
+    /// has no hot expression.
+    ops_start: u32,
+    ops_end: u32,
+    /// Index into [`Simulator::nba_bufs`] (`NO_NBA_SLOT` when the
+    /// instruction has no staging buffer).
+    nba_slot: u32,
+}
 
 /// One pending nonblocking commit, staged until the NBA region flushes.
 #[derive(Debug)]
@@ -79,10 +92,14 @@ pub struct Simulator<'d> {
     config: SimConfig,
     values: Vec<LogicVec>,
     procs: Vec<ProcState>,
-    /// Per-process, per-pc compiled form of the instruction's expression
-    /// (`None` for instructions without a hot expression). Lowered once
-    /// at [`Simulator::new`]; see [`crate::bytecode`].
-    programs: Vec<Vec<Option<ExprProgram>>>,
+    /// Every instruction's compiled expression, in one op buffer.
+    /// Lowered once at [`Simulator::new`]; see [`crate::bytecode`].
+    programs: Programs,
+    /// Per-instruction lowering, flat over all processes: the entry of
+    /// `(pid, pc)` is at `lowered_base[pid] + pc`.
+    lowered: Vec<Lowered>,
+    /// Index of each process's first instruction in `lowered`.
+    lowered_base: Vec<usize>,
     /// The shared evaluation arena: one pre-sized wide buffer per
     /// scratch slot, sized at lowering from the static width bounds of
     /// every compiled program. Allocated once; every compiled
@@ -111,9 +128,6 @@ pub struct Simulator<'d> {
     /// value (cleared at flush). A busy buffer forces the boxed
     /// [`NbaValue::Owned`] fallback.
     nba_busy: Vec<bool>,
-    /// Per-process, per-pc index into `nba_bufs` (`NO_NBA_SLOT` when the
-    /// instruction has no staging buffer).
-    nba_slots: Vec<Vec<u32>>,
     /// Reused slice buffer for l-value resolution.
     lv_scratch: Vec<(NetId, u32, u32, LogicVec)>,
     /// Per-net list of (process, generation) waiting on that net.
@@ -375,54 +389,43 @@ impl<'d> Simulator<'d> {
         // program's every slot — steady-state evaluation then never
         // touches the heap, regardless of datapath width.
         let net_widths: Vec<u32> = design.nets.iter().map(|n| n.width).collect();
-        let programs: Vec<Vec<Option<ExprProgram>>> = design
-            .processes
-            .iter()
-            .map(|p| {
-                p.body
-                    .iter()
-                    .map(|instr| {
-                        let expr = match instr {
-                            Instr::BlockingAssign { expr, .. }
-                            | Instr::NonblockingAssign { expr, .. } => Some(expr),
-                            Instr::Delay { amount } => Some(amount),
-                            Instr::BranchIfFalse { cond, .. } => Some(cond),
-                            _ => None,
-                        };
-                        expr.map(|e| bytecode::compile(e, &net_widths))
-                    })
-                    .collect()
-            })
-            .collect();
-        let arena = ScratchArena::for_programs(
-            programs
-                .iter()
-                .flat_map(|per_pc| per_pc.iter().filter_map(Option::as_ref)),
-        );
+        let mut programs = Programs::default();
         // Whole-net nonblocking assignments get a staging buffer sized
         // to the target net, so `a <= expr` never boxes the staged
         // value either.
         let mut nba_bufs: Vec<ScratchBuf> = Vec::new();
-        let nba_slots: Vec<Vec<u32>> = design
-            .processes
-            .iter()
-            .map(|p| {
-                p.body
-                    .iter()
-                    .map(|instr| match instr {
-                        Instr::NonblockingAssign {
-                            lvalue: LValue::Net(net),
-                            ..
-                        } => {
-                            let slot = nba_bufs.len() as u32;
-                            nba_bufs.push(ScratchBuf::with_width(design.net(*net).width));
-                            slot
-                        }
-                        _ => NO_NBA_SLOT,
-                    })
-                    .collect()
-            })
-            .collect();
+        let mut lowered = Vec::with_capacity(design.processes.iter().map(|p| p.body.len()).sum());
+        let mut lowered_base = Vec::with_capacity(design.processes.len());
+        for p in &design.processes {
+            lowered_base.push(lowered.len());
+            for instr in &p.body {
+                let expr = match instr {
+                    Instr::BlockingAssign { expr, .. } | Instr::NonblockingAssign { expr, .. } => {
+                        Some(expr)
+                    }
+                    Instr::Delay { amount } => Some(amount),
+                    Instr::BranchIfFalse { cond, .. } => Some(cond),
+                    _ => None,
+                };
+                let ops = expr.map_or(0..0, |e| programs.compile(e, &net_widths));
+                let nba_slot = match instr {
+                    Instr::NonblockingAssign {
+                        lvalue: LValue::Net(net),
+                        ..
+                    } => {
+                        nba_bufs.push(ScratchBuf::with_width(design.net(*net).width));
+                        nba_bufs.len() as u32 - 1
+                    }
+                    _ => NO_NBA_SLOT,
+                };
+                lowered.push(Lowered {
+                    ops_start: ops.start,
+                    ops_end: ops.end,
+                    nba_slot,
+                });
+            }
+        }
+        let arena = programs.arena();
         let nba_busy = vec![false; nba_bufs.len()];
         Simulator {
             design,
@@ -430,6 +433,8 @@ impl<'d> Simulator<'d> {
             values,
             procs,
             programs,
+            lowered,
+            lowered_base,
             arena,
             runnable,
             inactive: Vec::new(),
@@ -440,7 +445,6 @@ impl<'d> Simulator<'d> {
             nba_spare: Vec::new(),
             nba_bufs,
             nba_busy,
-            nba_slots,
             lv_scratch: Vec::new(),
             watchers: vec![Vec::new(); design.nets.len()],
             watcher_threshold: vec![WATCHER_COMPACT_MIN; design.nets.len()],
@@ -664,10 +668,12 @@ impl<'d> Simulator<'d> {
     /// caller then falls back to the tree interpreter, which also keeps
     /// the interpreter alive as the differential-testing oracle.
     fn exec_program(&mut self, pid: usize, pc: usize, last_wake: Option<NetId>) -> bool {
-        let Some(prog) = self.programs[pid].get(pc).and_then(Option::as_ref) else {
+        let lowered = self.lowered[self.lowered_base[pid] + pc];
+        if lowered.ops_start == lowered.ops_end {
             return false;
-        };
-        bytecode::exec(prog, &self.values, self.time, last_wake, &mut self.arena);
+        }
+        let ops = self.programs.ops(lowered.ops_start..lowered.ops_end);
+        bytecode::exec(ops, &self.values, self.time, last_wake, &mut self.arena);
         true
     }
 
@@ -791,13 +797,13 @@ impl<'d> Simulator<'d> {
                     self.procs[pid].pc = pc + 1;
                 }
                 Instr::NonblockingAssign { lvalue, expr } => {
-                    let slot = self.nba_slots[pid][pc];
+                    let slot = self.lowered[self.lowered_base[pid] + pc].nba_slot;
                     match (slot, self.exec_program(pid, pc, wake)) {
                         // Hot path: whole-net target, compiled program —
                         // stage into the pre-sized buffer.
                         (slot, true) if slot != NO_NBA_SLOT => {
                             let LValue::Net(net) = lvalue else {
-                                unreachable!("nba_slots only maps whole-net targets");
+                                unreachable!("only whole-net targets get an NBA slot");
                             };
                             self.stage_nba_from_arena(*net, slot);
                         }

@@ -1,5 +1,6 @@
 //! Abstract syntax tree for the Verilog-2001 subset.
 
+use aivril_hdl::short_str::ShortStr;
 use aivril_hdl::source::Span;
 use std::sync::Arc;
 
@@ -146,7 +147,7 @@ pub enum Item {
         span: Span,
     },
     /// `function [range] name; input decls...; body endfunction`
-    Function(FunctionDecl),
+    Function(Box<FunctionDecl>),
     /// Module instantiation.
     Instance {
         /// Instantiated module name.
@@ -250,12 +251,10 @@ pub enum Stmt {
     },
     /// `for (init; cond; step) body`
     For {
-        /// Init assignment `(target, value)`.
-        init: (Expr, Expr),
-        /// Loop condition.
-        cond: Expr,
-        /// Step assignment `(target, value)`.
-        step: (Expr, Expr),
+        /// The `(init; cond; step)` header. Boxed: its five
+        /// expressions inline would make every statement node twice
+        /// the size of an assignment.
+        header: Box<ForHeader>,
         /// Body.
         body: Box<Stmt>,
     },
@@ -312,6 +311,17 @@ pub enum Stmt {
     Null,
 }
 
+/// The header of a `for` loop.
+#[derive(Debug, Clone)]
+pub struct ForHeader {
+    /// Init assignment `(target, value)`.
+    pub init: (Expr, Expr),
+    /// Loop condition.
+    pub cond: Expr,
+    /// Step assignment `(target, value)`.
+    pub step: (Expr, Expr),
+}
+
 /// A system-task argument.
 #[derive(Debug, Clone)]
 pub enum SysArg {
@@ -327,14 +337,14 @@ pub enum Expr {
     /// Integer literal text (e.g. `8'hFF`), value-parsed at elaboration.
     Number {
         /// Literal text as written.
-        text: String,
+        text: ShortStr,
         /// Location.
         span: Span,
     },
     /// Identifier reference.
     Ident {
         /// Name.
-        name: String,
+        name: ShortStr,
         /// Location.
         span: Span,
     },
@@ -393,15 +403,21 @@ pub enum Expr {
         /// Location.
         span: Span,
     },
-    /// `f(arg, ...)` — a function call, inlined at elaboration.
-    Call {
-        /// Function name.
-        name: String,
-        /// Arguments.
-        args: Vec<Expr>,
-        /// Location.
-        span: Span,
-    },
+    /// `f(arg, ...)` — a function call, inlined at elaboration. Boxed:
+    /// calls are rare, and inline they would set the size of every
+    /// expression node.
+    Call(Box<Call>),
+}
+
+/// A function call expression.
+#[derive(Debug, Clone)]
+pub struct Call {
+    /// Function name.
+    pub name: String,
+    /// Arguments.
+    pub args: Vec<Expr>,
+    /// Location.
+    pub span: Span,
 }
 
 impl Expr {
@@ -419,7 +435,7 @@ impl Expr {
             Expr::Ternary { cond, .. } => cond.span(),
             Expr::Concat(parts) => parts.first().and_then(Expr::span),
             Expr::Repeat { count, .. } => count.span(),
-            Expr::Call { span, .. } => Some(*span),
+            Expr::Call(call) => Some(call.span),
         }
     }
 }
@@ -466,4 +482,21 @@ pub enum BinOp {
     Le,
     Gt,
     Ge,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::mem::size_of;
+
+    /// Node sizes are part of the compile path's cost: every `Box`,
+    /// `Vec` slot and by-value return moves a whole node. Rare, wide
+    /// variants (`for` headers, calls, function declarations) are
+    /// boxed so the common ones set the size.
+    #[test]
+    fn node_sizes_are_pinned() {
+        assert_eq!(size_of::<Expr>(), 40);
+        assert_eq!(size_of::<Stmt>(), 96);
+        assert_eq!(size_of::<Item>(), 136);
+    }
 }

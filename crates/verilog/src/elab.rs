@@ -18,6 +18,7 @@ use aivril_hdl::ir::{
 use aivril_hdl::logic::Logic;
 use aivril_hdl::source::Span;
 use aivril_hdl::vec::LogicVec;
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 const MAX_DEPTH: u32 = 64;
@@ -64,12 +65,13 @@ struct NetInfo {
     net_type: NetType,
 }
 
-/// A module function, resolved at declaration time.
+/// A module function, resolved at declaration time. The body is
+/// borrowed from the module's AST, not copied per instance.
 #[derive(Debug, Clone)]
-struct FunctionSig {
+struct FunctionSig<'a> {
     width: u32,
     inputs: Vec<(String, u32)>,
-    body: ast::Stmt,
+    body: &'a ast::Stmt,
 }
 
 /// One declared memory: its element nets in address order.
@@ -82,11 +84,11 @@ struct MemInfo {
 }
 
 #[derive(Debug, Default)]
-struct Scope {
+struct Scope<'a> {
     prefix: String,
     params: HashMap<String, i64>,
     nets: HashMap<String, NetInfo>,
-    functions: HashMap<String, FunctionSig>,
+    functions: HashMap<String, FunctionSig<'a>>,
     mems: HashMap<String, MemInfo>,
 }
 
@@ -141,12 +143,12 @@ impl<'a> Elaborator<'a, '_> {
 
         // Non-ANSI headers list bare names; their direction/type/range
         // come from body `input`/`output` declarations.
-        let ports: Vec<ast::Port> = if module.nonansi_ports.is_empty() {
-            module.ports.clone()
+        let ports: Cow<'a, [ast::Port]> = if module.nonansi_ports.is_empty() {
+            Cow::Borrowed(&module.ports)
         } else {
-            self.resolve_nonansi_ports(module)
+            Cow::Owned(self.resolve_nonansi_ports(module))
         };
-        let ports = &ports;
+        let ports = &*ports;
 
         // --- Pass 0: header parameters (defaults overridden by bindings).
         for p in &module.params {
@@ -291,7 +293,7 @@ impl<'a> Elaborator<'a, '_> {
                             FunctionSig {
                                 width,
                                 inputs,
-                                body: f.body.clone(),
+                                body: &f.body,
                             },
                         )
                         .is_some()
@@ -596,7 +598,7 @@ impl<'a> Elaborator<'a, '_> {
     /// are widened recursively (matching IEEE 1364 context-determined
     /// expression sizing), narrower self-determined values are
     /// zero-padded, and truncation earns a Vivado-style warning.
-    fn fit_expr(&mut self, lv: &LValue, rhs: Expr, span: Span) -> Expr {
+    fn fit_expr(&mut self, lv: &LValue, mut rhs: Expr, span: Span) -> Expr {
         let lw = self.lvalue_width(lv);
         let rw = self.expr_width(&rhs);
         if rw > lw {
@@ -610,76 +612,60 @@ impl<'a> Elaborator<'a, '_> {
             // Even at equal widths, context sizing must reach narrower
             // inner operands (e.g. `credit + (dime << 1)` where `dime`
             // is 1 bit): recurse unconditionally.
-            self.widen_expr(rhs, lw)
+            self.widen_expr(&mut rhs, lw);
+            rhs
         }
     }
 
-    /// Recursively widens context-determined operators to `w` bits.
-    fn widen_expr(&self, e: Expr, w: u32) -> Expr {
-        let context_determined = matches!(
-            &e,
-            Expr::Const(_)
-                | Expr::Ternary { .. }
-                | Expr::Binary {
-                    op: BinaryOp::Add
-                        | BinaryOp::Sub
-                        | BinaryOp::Mul
-                        | BinaryOp::Div
-                        | BinaryOp::Rem
-                        | BinaryOp::And
-                        | BinaryOp::Or
-                        | BinaryOp::Xor
-                        | BinaryOp::Xnor
-                        | BinaryOp::Shl
-                        | BinaryOp::Shr,
-                    ..
-                }
-                | Expr::Unary {
-                    op: UnaryOp::Not | UnaryOp::Negate,
-                    ..
-                }
-        );
-        if !context_determined {
-            return self.pad_expr(e, w);
-        }
+    /// Recursively widens context-determined operators to `w` bits, in
+    /// place: the tree's boxes are reused, never rebuilt.
+    fn widen_expr(&self, e: &mut Expr, w: u32) {
         match e {
-            Expr::Const(v) if v.width() >= w => Expr::Const(v),
-            Expr::Const(v) => Expr::Const(v.resize(w)),
+            Expr::Const(v) => {
+                if v.width() < w {
+                    *v = v.resize(w);
+                }
+            }
             Expr::Binary {
-                op: op @ (BinaryOp::Shl | BinaryOp::Shr),
+                op: BinaryOp::Shl | BinaryOp::Shr,
+                lhs,
+                ..
+            } => self.widen_expr(lhs, w),
+            Expr::Binary {
+                op:
+                    BinaryOp::Add
+                    | BinaryOp::Sub
+                    | BinaryOp::Mul
+                    | BinaryOp::Div
+                    | BinaryOp::Rem
+                    | BinaryOp::And
+                    | BinaryOp::Or
+                    | BinaryOp::Xor
+                    | BinaryOp::Xnor,
                 lhs,
                 rhs,
-            } => Expr::Binary {
-                op,
-                lhs: Box::new(self.widen_expr(*lhs, w)),
-                rhs,
-            },
-            Expr::Binary { op, lhs, rhs } => Expr::Binary {
-                op,
-                lhs: Box::new(self.widen_expr(*lhs, w)),
-                rhs: Box::new(self.widen_expr(*rhs, w)),
-            },
-            Expr::Unary { op, operand } => Expr::Unary {
-                op,
-                operand: Box::new(self.widen_expr(*operand, w)),
-            },
-            Expr::Ternary { cond, then, els } => Expr::Ternary {
-                cond,
-                then: Box::new(self.widen_expr(*then, w)),
-                els: Box::new(self.widen_expr(*els, w)),
-            },
-            other => self.pad_expr(other, w),
+            } => {
+                self.widen_expr(lhs, w);
+                self.widen_expr(rhs, w);
+            }
+            Expr::Unary {
+                op: UnaryOp::Not | UnaryOp::Negate,
+                operand,
+            } => self.widen_expr(operand, w),
+            Expr::Ternary { then, els, .. } => {
+                self.widen_expr(then, w);
+                self.widen_expr(els, w);
+            }
+            // Self-determined: zero-extend by concatenating leading
+            // zero bits.
+            _ => {
+                let cur = self.expr_width(e);
+                if cur < w {
+                    let inner = std::mem::replace(e, Expr::Time);
+                    *e = Expr::Concat(vec![Expr::Const(LogicVec::zeros(w - cur)), inner]);
+                }
+            }
         }
-    }
-
-    /// Zero-extends a self-determined expression by concatenating
-    /// leading zero bits.
-    fn pad_expr(&self, e: Expr, w: u32) -> Expr {
-        let cur = self.expr_width(&e);
-        if cur >= w {
-            return e;
-        }
-        Expr::Concat(vec![Expr::Const(LogicVec::zeros(w - cur)), e])
     }
 
     fn lvalue_width(&self, lv: &LValue) -> u32 {
@@ -748,7 +734,7 @@ impl<'a> Elaborator<'a, '_> {
                 let v = crate::literal::try_parse_literal(text)?;
                 v.to_u64().map(|u| u as i64)
             }
-            ast::Expr::Ident { name, .. } => scope.params.get(name).copied(),
+            ast::Expr::Ident { name, .. } => scope.params.get(name.as_str()).copied(),
             ast::Expr::Unary { op, operand } => {
                 let v = self.try_eval_const(operand, scope)?;
                 Some(match op {
@@ -801,10 +787,10 @@ impl<'a> Elaborator<'a, '_> {
         match e {
             ast::Expr::Number { text, span } => Expr::Const(parse_literal(text, *span, self.diags)),
             ast::Expr::Ident { name, span } => {
-                if let Some(&v) = scope.params.get(name) {
+                if let Some(&v) = scope.params.get(name.as_str()) {
                     return Expr::Const(LogicVec::from_u64(32, v as u64));
                 }
-                match scope.nets.get(name) {
+                match scope.nets.get(name.as_str()) {
                     Some(info) => Expr::Net(info.id),
                     None => {
                         self.error(
@@ -818,9 +804,9 @@ impl<'a> Elaborator<'a, '_> {
             }
             ast::Expr::Index { base, index } => {
                 if let ast::Expr::Ident { name, .. } = base.as_ref() {
-                    if let Some(mem) = scope.mems.get(name).cloned() {
+                    if let Some(mem) = scope.mems.get(name.as_str()) {
                         let idx = self.lower_expr(index, scope);
-                        return mem_read_mux(&mem, idx);
+                        return mem_read_mux(mem, idx);
                     }
                 }
                 let Some(net) = self.base_net(base, scope) else {
@@ -928,7 +914,8 @@ impl<'a> Elaborator<'a, '_> {
                 }
             }
             ast::Expr::Time { .. } => Expr::Time,
-            ast::Expr::Call { name, span, .. } => {
+            ast::Expr::Call(call) => {
+                let ast::Call { name, span, .. } = &**call;
                 self.error(
                     codes::VLOG_SYNTAX,
                     format!(
@@ -950,7 +937,7 @@ impl<'a> Elaborator<'a, '_> {
             return self.lower_expr(e, scope);
         }
         match e {
-            ast::Expr::Call { name, args, span } => self.inline_call(name, args, *span, scope, b),
+            ast::Expr::Call(call) => self.inline_call(&call.name, &call.args, call.span, scope, b),
             ast::Expr::Unary { op, operand } => {
                 let inner = self.lower_expr_proc(operand, scope, b);
                 match unop_of(*op) {
@@ -1004,9 +991,9 @@ impl<'a> Elaborator<'a, '_> {
             }
             ast::Expr::Index { base, index } => {
                 if let ast::Expr::Ident { name, .. } = base.as_ref() {
-                    if let Some(mem) = scope.mems.get(name).cloned() {
+                    if let Some(mem) = scope.mems.get(name.as_str()) {
                         let idx = self.lower_expr_proc(index, scope, b);
-                        return mem_read_mux(&mem, idx);
+                        return mem_read_mux(mem, idx);
                     }
                 }
                 let Some(net) = self.base_net(base, scope) else {
@@ -1109,7 +1096,7 @@ impl<'a> Elaborator<'a, '_> {
         );
         let body_start = b.here();
         self.inline_depth += 1;
-        self.compile_stmt(&sig.body, &inner, b);
+        self.compile_stmt(sig.body, &inner, b);
         self.inline_depth -= 1;
         // IEEE 1364 §10.3.4: function bodies may not contain timing
         // controls or nonblocking assignments.
@@ -1134,7 +1121,7 @@ impl<'a> Elaborator<'a, '_> {
     /// Resolves the base of a select, which must be a plain identifier.
     fn base_net(&mut self, base: &ast::Expr, scope: &Scope) -> Option<NetId> {
         match base {
-            ast::Expr::Ident { name, span } => match scope.nets.get(name) {
+            ast::Expr::Ident { name, span } => match scope.nets.get(name.as_str()) {
                 Some(info) => Some(info.id),
                 None => {
                     self.error(
@@ -1311,7 +1298,7 @@ impl<'a> Elaborator<'a, '_> {
                 EventExpr::Any(e) => (e, Trigger::AnyChange),
             };
             match expr {
-                ast::Expr::Ident { name, span } => match scope.nets.get(name) {
+                ast::Expr::Ident { name, span } => match scope.nets.get(name.as_str()) {
                     Some(info) => triggers.push(ctor(info.id)),
                     None => self.error(
                         codes::VLOG_UNDECLARED,
@@ -1345,30 +1332,12 @@ impl<'a> Elaborator<'a, '_> {
                 target,
                 value,
                 span,
-            } => {
-                let expr = self.lower_expr_proc(value, scope, b);
-                if self.try_mem_write(target, expr.clone(), false, *span, scope, b) {
-                    return;
-                }
-                if let Some(lv) = self.lower_lvalue(target, scope, AssignCtx::Procedural) {
-                    let expr = self.fit_expr(&lv, expr, *span);
-                    b.emit(Instr::BlockingAssign { lvalue: lv, expr });
-                }
-            }
+            } => self.compile_assign(target, value, false, *span, scope, b),
             ast::Stmt::Nonblocking {
                 target,
                 value,
                 span,
-            } => {
-                let expr = self.lower_expr_proc(value, scope, b);
-                if self.try_mem_write(target, expr.clone(), true, *span, scope, b) {
-                    return;
-                }
-                if let Some(lv) = self.lower_lvalue(target, scope, AssignCtx::Procedural) {
-                    let expr = self.fit_expr(&lv, expr, *span);
-                    b.emit(Instr::NonblockingAssign { lvalue: lv, expr });
-                }
-            }
+            } => self.compile_assign(target, value, true, *span, scope, b),
             ast::Stmt::If { cond, then, els } => {
                 let c = self.lower_expr_proc(cond, scope, b);
                 let branch = b.emit_branch(c);
@@ -1400,34 +1369,15 @@ impl<'a> Elaborator<'a, '_> {
                     b,
                 );
             }
-            ast::Stmt::For {
-                init,
-                cond,
-                step,
-                body,
-            } => {
-                self.compile_stmt(
-                    &ast::Stmt::Blocking {
-                        target: init.0.clone(),
-                        value: init.1.clone(),
-                        span: Span::file_start(aivril_hdl::source::FileId(0)),
-                    },
-                    scope,
-                    b,
-                );
+            ast::Stmt::For { header, body } => {
+                let ast::ForHeader { init, cond, step } = &**header;
+                let no_span = Span::file_start(aivril_hdl::source::FileId(0));
+                self.compile_assign(&init.0, &init.1, false, no_span, scope, b);
                 let head = b.here();
                 let c = self.lower_expr_proc(cond, scope, b);
                 let exit = b.emit_branch(c);
                 self.compile_stmt(body, scope, b);
-                self.compile_stmt(
-                    &ast::Stmt::Blocking {
-                        target: step.0.clone(),
-                        value: step.1.clone(),
-                        span: Span::file_start(aivril_hdl::source::FileId(0)),
-                    },
-                    scope,
-                    b,
-                );
+                self.compile_assign(&step.0, &step.1, false, no_span, scope, b);
                 b.emit(Instr::Jump(head));
                 b.patch(exit, b.here());
             }
@@ -1525,10 +1475,33 @@ impl<'a> Elaborator<'a, '_> {
         }
     }
 
-    #[allow(clippy::too_many_arguments)] // mirrors the AST node's fields
+    /// Compiles `target = value` (or `<=` when `nonblocking`).
+    fn compile_assign(
+        &mut self,
+        target: &ast::Expr,
+        value: &ast::Expr,
+        nonblocking: bool,
+        span: Span,
+        scope: &Scope,
+        b: &mut Builder,
+    ) {
+        let expr = self.lower_expr_proc(value, scope, b);
+        let Some(expr) = self.try_mem_write(target, expr, nonblocking, span, scope, b) else {
+            return;
+        };
+        if let Some(lvalue) = self.lower_lvalue(target, scope, AssignCtx::Procedural) {
+            let expr = self.fit_expr(&lvalue, expr, span);
+            b.emit(if nonblocking {
+                Instr::NonblockingAssign { lvalue, expr }
+            } else {
+                Instr::BlockingAssign { lvalue, expr }
+            });
+        }
+    }
+
     /// Compiles `mem[addr] = v` / `mem[addr] <= v` as a per-element
-    /// conditional write (address demultiplexer). Returns `false` when
-    /// the target is not a memory element.
+    /// conditional write (address demultiplexer). Hands `value` back
+    /// when the target is not a memory element.
     #[allow(clippy::too_many_arguments)] // one logical operation, many facets
     fn try_mem_write(
         &mut self,
@@ -1538,15 +1511,15 @@ impl<'a> Elaborator<'a, '_> {
         span: Span,
         scope: &Scope,
         b: &mut Builder,
-    ) -> bool {
+    ) -> Option<Expr> {
         let ast::Expr::Index { base, index } = target else {
-            return false;
+            return Some(value);
         };
         let ast::Expr::Ident { name, .. } = base.as_ref() else {
-            return false;
+            return Some(value);
         };
-        let Some(mem) = scope.mems.get(name).cloned() else {
-            return false;
+        let Some(mem) = scope.mems.get(name.as_str()) else {
+            return Some(value);
         };
         let idx = self.lower_expr_proc(index, scope, b);
         // Evaluate address and data once into temporaries so the demux
@@ -1598,7 +1571,7 @@ impl<'a> Elaborator<'a, '_> {
             b.emit(instr);
             b.patch(skip, b.here());
         }
-        true
+        None
     }
 
     #[allow(clippy::too_many_arguments)] // mirrors the AST node's fields
@@ -1738,7 +1711,7 @@ impl<'a> Elaborator<'a, '_> {
 
 struct PortBinding<'a, 's> {
     connections: &'a Connections,
-    parent_scope: &'s Scope,
+    parent_scope: &'s Scope<'a>,
     span: Span,
 }
 
@@ -1809,7 +1782,7 @@ fn mem_read_mux(mem: &MemInfo, idx: Expr) -> Expr {
 /// `true` when the AST expression contains a function call anywhere.
 fn expr_contains_call(e: &ast::Expr) -> bool {
     match e {
-        ast::Expr::Call { .. } => true,
+        ast::Expr::Call(_) => true,
         ast::Expr::Unary { operand, .. } => expr_contains_call(operand),
         ast::Expr::Binary { lhs, rhs, .. } => expr_contains_call(lhs) || expr_contains_call(rhs),
         ast::Expr::Ternary { cond, then, els } => {

@@ -4,6 +4,7 @@ use aivril_hdl::diag::{codes, Diagnostic, Diagnostics};
 use aivril_hdl::logic::Logic;
 use aivril_hdl::source::Span;
 use aivril_hdl::vec::LogicVec;
+use std::borrow::Cow;
 
 /// Parses a literal's text into a [`LogicVec`], reporting malformed
 /// literals to `diags` and substituting zero so elaboration can continue.
@@ -22,81 +23,82 @@ pub fn parse_literal(text: &str, span: Span, diags: &mut Diagnostics) -> LogicVe
 }
 
 /// Pure parsing helper; `None` when the text is not a valid literal.
+///
+/// Allocation-free for the common spelling: the text is borrowed unless
+/// it contains `_` separators, the digits are a slice of it, and the
+/// value is built in place rather than from a list of bits.
 #[must_use]
 pub fn try_parse_literal(text: &str) -> Option<LogicVec> {
-    let text = text.replace('_', "");
-    match text.find('\'') {
-        None => {
-            let v: u64 = text.parse().ok()?;
-            Some(LogicVec::from_u64(32, v))
-        }
-        Some(tick) => {
-            let size: u32 = if tick == 0 {
-                32
-            } else {
-                text[..tick].parse().ok()?
-            };
-            if size == 0 || size > 4096 {
-                return None;
-            }
-            let mut rest = text[tick + 1..].chars().peekable();
-            let mut base_c = rest.next()?;
-            if base_c == 's' || base_c == 'S' {
-                base_c = rest.next()?;
-            }
-            let digits: String = rest.collect();
-            if digits.is_empty() {
-                return None;
-            }
-            let bits_per = match base_c.to_ascii_lowercase() {
-                'b' => 1,
-                'o' => 3,
-                'h' => 4,
-                'd' => 0,
-                _ => return None,
-            };
-            if bits_per == 0 {
-                // Decimal: x/z digits are only legal alone.
-                if digits.eq_ignore_ascii_case("x") {
-                    return Some(LogicVec::xes(size));
-                }
-                if digits.eq_ignore_ascii_case("z") {
-                    return Some(LogicVec::filled(size, Logic::Z));
-                }
-                let v: u64 = digits.parse().ok()?;
-                return Some(LogicVec::from_u64(size, v));
-            }
-            // Binary/octal/hex with four-state digits.
-            let mut bits: Vec<Logic> = Vec::new();
-            for c in digits.chars() {
-                match c.to_ascii_lowercase() {
-                    'x' => bits.extend(std::iter::repeat_n(Logic::X, bits_per)),
-                    'z' | '?' => bits.extend(std::iter::repeat_n(Logic::Z, bits_per)),
-                    d => {
-                        let v = d.to_digit(1 << bits_per)?;
-                        for i in (0..bits_per).rev() {
-                            bits.push(Logic::from_bool(v >> i & 1 == 1));
-                        }
-                    }
-                }
-            }
-            // Resize to declared size: truncate from the left, or pad with
-            // 0 / X / Z depending on the leftmost digit (IEEE 1364 rule).
-            let mut value = LogicVec::from_bits_msb_first(&bits);
-            if value.width() > size {
-                value = value.slice(size - 1, 0);
-            } else if value.width() < size {
-                let pad_bit = match bits.first() {
-                    Some(Logic::X) => Logic::X,
-                    Some(Logic::Z) => Logic::Z,
-                    _ => Logic::Zero,
-                };
-                let pad = LogicVec::filled(size - value.width(), pad_bit);
-                value = pad.concat(&value);
-            }
-            Some(value)
-        }
+    let text: Cow<'_, str> = if text.contains('_') {
+        Cow::Owned(text.replace('_', ""))
+    } else {
+        Cow::Borrowed(text)
+    };
+    let text = text.as_ref();
+    let Some(tick) = text.find('\'') else {
+        return Some(LogicVec::from_u64(32, text.parse().ok()?));
+    };
+    let size: u32 = if tick == 0 {
+        32
+    } else {
+        text[..tick].parse().ok()?
+    };
+    if size == 0 || size > 4096 {
+        return None;
     }
+    let mut rest = &text[tick + 1..];
+    let mut base_c = rest.chars().next()?;
+    rest = &rest[base_c.len_utf8()..];
+    if base_c == 's' || base_c == 'S' {
+        base_c = rest.chars().next()?;
+        rest = &rest[base_c.len_utf8()..];
+    }
+    let digits = rest;
+    if digits.is_empty() {
+        return None;
+    }
+    let bits_per: u32 = match base_c.to_ascii_lowercase() {
+        'b' => 1,
+        'o' => 3,
+        'h' => 4,
+        'd' => 0,
+        _ => return None,
+    };
+    if bits_per == 0 {
+        // Decimal: x/z digits are only legal alone.
+        if digits.eq_ignore_ascii_case("x") {
+            return Some(LogicVec::xes(size));
+        }
+        if digits.eq_ignore_ascii_case("z") {
+            return Some(LogicVec::filled(size, Logic::Z));
+        }
+        return Some(LogicVec::from_u64(size, digits.parse().ok()?));
+    }
+    // Binary/octal/hex with four-state digits, written from the LSB end
+    // straight into a value of the declared size: bits past the size are
+    // truncated from the left, and the bits above the digits keep the
+    // pad, 0 / X / Z after the leftmost digit (IEEE 1364 rule).
+    let pad = match digits.as_bytes()[0].to_ascii_lowercase() {
+        b'x' => Logic::X,
+        b'z' | b'?' => Logic::Z,
+        _ => Logic::Zero,
+    };
+    let mut value = LogicVec::filled(size, pad);
+    let mask = (1u32 << bits_per) - 1;
+    let mut lsb: u32 = 0;
+    for c in digits.chars().rev() {
+        let (aval, bval) = match c.to_ascii_lowercase() {
+            'x' => (mask, mask),
+            'z' | '?' => (0, mask),
+            d => (d.to_digit(1 << bits_per)?, 0),
+        };
+        for i in 0..bits_per {
+            let bit = Logic::from_avab(aval >> i & 1 == 1, bval >> i & 1 == 1);
+            value.set(lsb.saturating_add(i), bit);
+        }
+        lsb = lsb.saturating_add(bits_per);
+    }
+    Some(value)
 }
 
 #[cfg(test)]

@@ -9,6 +9,7 @@
 use crate::ast::*;
 use crate::token::{Keyword as Kw, Punct, Token, TokenKind};
 use aivril_hdl::diag::{codes, Diagnostic, Diagnostics};
+use aivril_hdl::short_str::ShortStr;
 use aivril_hdl::source::Span;
 
 /// Parses a token stream into modules, appending errors to `diags`.
@@ -73,6 +74,13 @@ impl<'src> Parser<'src, '_> {
     /// the parser's only per-token allocation.
     fn bump_text(&mut self) -> String {
         self.bump().text.into_owned()
+    }
+
+    /// Advances and returns the token's text as an expression leaf:
+    /// inline when short, so most identifiers and numbers allocate
+    /// nothing.
+    fn bump_short(&mut self) -> ShortStr {
+        ShortStr::new(&self.bump().text)
     }
 
     fn check(&self, p: Punct) -> bool {
@@ -196,9 +204,12 @@ impl<'src> Parser<'src, '_> {
                 self.error("expected 'endmodule', found end of file".into(), span);
                 break;
             }
-            match self.parse_item() {
-                Some(mut found) => items.append(&mut found),
-                None => self.sync_to_semi(),
+            // A failed item contributes nothing, even the names it had
+            // already parsed.
+            let mark = items.len();
+            if self.parse_item(&mut items).is_none() {
+                items.truncate(mark);
+                self.sync_to_semi();
             }
         }
         Some(Module {
@@ -290,7 +301,9 @@ impl<'src> Parser<'src, '_> {
         Some((msb, lsb))
     }
 
-    fn parse_item(&mut self) -> Option<Vec<Item>> {
+    /// Parses one body item, appending what it declares to `items`
+    /// (a declaration may yield several).
+    fn parse_item(&mut self, items: &mut Vec<Item>) -> Option<()> {
         let (kind, span) = (self.peek().kind, self.peek().span);
         match kind {
             TokenKind::Keyword(Kw::Input)
@@ -325,12 +338,13 @@ impl<'src> Parser<'src, '_> {
                     }
                 }
                 self.expect(Punct::Semi)?;
-                Some(vec![Item::PortDecl {
+                items.push(Item::PortDecl {
                     dir,
                     net_type,
                     range,
                     names,
-                }])
+                });
+                Some(())
             }
             TokenKind::Keyword(Kw::Wire) | TokenKind::Keyword(Kw::Reg) => {
                 let net_type = if self.eat_kw(Kw::Reg) {
@@ -369,7 +383,6 @@ impl<'src> Parser<'src, '_> {
                     }
                 }
                 self.expect(Punct::Semi)?;
-                let mut items = Vec::new();
                 if !names.is_empty() {
                     items.push(Item::NetDecl {
                         net_type,
@@ -383,7 +396,7 @@ impl<'src> Parser<'src, '_> {
                         names: mems,
                     });
                 }
-                Some(items)
+                Some(())
             }
             TokenKind::Keyword(Kw::Integer) => {
                 self.bump();
@@ -396,12 +409,12 @@ impl<'src> Parser<'src, '_> {
                     }
                 }
                 self.expect(Punct::Semi)?;
-                Some(vec![Item::IntegerDecl { names }])
+                items.push(Item::IntegerDecl { names });
+                Some(())
             }
             TokenKind::Keyword(Kw::Parameter) | TokenKind::Keyword(Kw::Localparam) => {
                 let local = kind == TokenKind::Keyword(Kw::Localparam);
                 self.bump();
-                let mut items = Vec::new();
                 loop {
                     let (name, span) = self.expect_ident()?;
                     self.expect(Punct::Assign)?;
@@ -417,11 +430,10 @@ impl<'src> Parser<'src, '_> {
                     }
                 }
                 self.expect(Punct::Semi)?;
-                Some(items)
+                Some(())
             }
             TokenKind::Keyword(Kw::Assign) => {
                 self.bump();
-                let mut items = Vec::new();
                 loop {
                     let target = self.parse_lvalue_expr()?;
                     self.expect(Punct::Assign)?;
@@ -432,7 +444,7 @@ impl<'src> Parser<'src, '_> {
                     }
                 }
                 self.expect(Punct::Semi)?;
-                Some(items)
+                Some(())
             }
             TokenKind::Keyword(Kw::Always) => {
                 self.bump();
@@ -442,12 +454,14 @@ impl<'src> Parser<'src, '_> {
                     None
                 };
                 let body = self.parse_stmt()?;
-                Some(vec![Item::Always { events, body, span }])
+                items.push(Item::Always { events, body, span });
+                Some(())
             }
             TokenKind::Keyword(Kw::Initial) => {
                 self.bump();
                 let body = self.parse_stmt()?;
-                Some(vec![Item::Initial { body, span }])
+                items.push(Item::Initial { body, span });
+                Some(())
             }
             TokenKind::Keyword(Kw::Function) => {
                 self.bump();
@@ -485,13 +499,14 @@ impl<'src> Parser<'src, '_> {
                     self.error_found("expected 'endfunction'");
                     return None;
                 }
-                Some(vec![Item::Function(FunctionDecl {
+                items.push(Item::Function(Box::new(FunctionDecl {
                     name,
                     range,
                     inputs,
                     body,
                     span,
-                })])
+                })));
+                Some(())
             }
             TokenKind::Ident => {
                 // Module instantiation: modname [#(...)] instname ( ... ) ;
@@ -523,13 +538,14 @@ impl<'src> Parser<'src, '_> {
                 let connections = self.parse_connections()?;
                 self.expect(Punct::RParen)?;
                 self.expect(Punct::Semi)?;
-                Some(vec![Item::Instance {
+                items.push(Item::Instance {
                     module,
                     name,
                     param_overrides,
                     connections,
                     span,
-                }])
+                });
+                Some(())
             }
             _ => {
                 self.error_near();
@@ -700,9 +716,11 @@ impl<'src> Parser<'src, '_> {
                 self.expect(Punct::RParen)?;
                 let body = Box::new(self.parse_stmt()?);
                 Some(Stmt::For {
-                    init: (init_t, init_v),
-                    cond,
-                    step: (step_t, step_v),
+                    header: Box::new(ForHeader {
+                        init: (init_t, init_v),
+                        cond,
+                        step: (step_t, step_v),
+                    }),
                     body,
                 })
             }
@@ -841,11 +859,11 @@ impl<'src> Parser<'src, '_> {
             let span = self.peek().span;
             match self.peek().kind {
                 TokenKind::Number => Expr::Number {
-                    text: self.bump_text(),
+                    text: self.bump_short(),
                     span,
                 },
                 TokenKind::Ident => Expr::Ident {
-                    name: self.bump_text(),
+                    name: self.bump_short(),
                     span,
                 },
                 _ => {
@@ -873,8 +891,15 @@ impl<'src> Parser<'src, '_> {
             self.expect(Punct::RBrace)?;
             return Some(Expr::Concat(parts));
         }
-        let (name, span) = self.expect_ident()?;
-        let mut expr = Expr::Ident { name, span };
+        if self.peek().kind != TokenKind::Ident {
+            self.error_found("expected identifier");
+            return None;
+        }
+        let span = self.peek().span;
+        let mut expr = Expr::Ident {
+            name: self.bump_short(),
+            span,
+        };
         if self.eat(Punct::LBracket) {
             let first = self.parse_expr();
             if self.eat(Punct::Colon) {
@@ -919,13 +944,14 @@ impl<'src> Parser<'src, '_> {
         cond
     }
 
-    fn binop_at(&self, level: u8) -> Option<BinOp> {
+    /// The binary operator at the cursor with its precedence level
+    /// (0 = `||`, loosest; 10 = `**`, tightest).
+    fn binop(&self) -> Option<(BinOp, u8)> {
         use Punct::*;
-        let p = match self.peek().kind {
-            TokenKind::Punct(p) => p,
-            _ => return None,
+        let TokenKind::Punct(p) = self.peek().kind else {
+            return None;
         };
-        let (op, l) = match p {
+        Some(match p {
             PipePipe => (BinOp::LogicalOr, 0),
             AmpAmp => (BinOp::LogicalAnd, 1),
             Pipe => (BinOp::Or, 2),
@@ -949,16 +975,19 @@ impl<'src> Parser<'src, '_> {
             Percent => (BinOp::Rem, 9),
             Star2 => (BinOp::Pow, 10),
             _ => return None,
-        };
-        (l == level).then_some(op)
+        })
     }
 
-    fn parse_binary(&mut self, level: u8) -> Expr {
-        if level > 10 {
-            return self.parse_unary();
-        }
-        let mut lhs = self.parse_binary(level + 1);
-        while let Some(op) = self.binop_at(level) {
+    /// Precedence climbing over operators of level `min_level` and
+    /// tighter: one operator lookup per operand, and a chain at one
+    /// level folds left in a loop, so `a + b + c` is `(a + b) + c`
+    /// without recursion per term.
+    fn parse_binary(&mut self, min_level: u8) -> Expr {
+        let mut lhs = self.parse_unary();
+        while let Some((op, level)) = self.binop() {
+            if level < min_level {
+                break;
+            }
             self.bump();
             let rhs = self.parse_binary(level + 1);
             lhs = Expr::Binary {
@@ -1024,11 +1053,11 @@ impl<'src> Parser<'src, '_> {
         let (kind, span) = (self.peek().kind, self.peek().span);
         match kind {
             TokenKind::Number => Expr::Number {
-                text: self.bump_text(),
+                text: self.bump_short(),
                 span,
             },
             TokenKind::Ident => {
-                let name = self.bump_text();
+                let name = self.bump().text;
                 if self.check(Punct::LParen) {
                     // Function call in expression position.
                     self.bump();
@@ -1042,13 +1071,16 @@ impl<'src> Parser<'src, '_> {
                         }
                     }
                     self.expect(Punct::RParen);
-                    return Expr::Call {
-                        name,
+                    return Expr::Call(Box::new(Call {
+                        name: name.into_owned(),
                         args: call_args,
                         span,
-                    };
+                    }));
                 }
-                Expr::Ident { name, span }
+                Expr::Ident {
+                    name: ShortStr::new(&name),
+                    span,
+                }
             }
             TokenKind::SysIdent if self.peek().text == "$time" => {
                 self.bump();
@@ -1256,6 +1288,50 @@ mod tests {
                 ));
             }
             other => panic!("expected assign, got {other:?}"),
+        }
+    }
+
+    /// Renders an expression tree fully parenthesised.
+    fn shape(e: &Expr) -> String {
+        match e {
+            Expr::Number { text, .. } => text.to_string(),
+            Expr::Ident { name, .. } => name.to_string(),
+            Expr::Unary { op, operand } => format!("({op:?} {})", shape(operand)),
+            Expr::Binary { op, lhs, rhs } => format!("({} {op:?} {})", shape(lhs), shape(rhs)),
+            Expr::Ternary { cond, then, els } => {
+                format!("({} ? {} : {})", shape(cond), shape(then), shape(els))
+            }
+            other => format!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn binary_chains_fold_left_within_a_level_and_bind_by_level() {
+        let cases = [
+            ("a - b - c", "((a Sub b) Sub c)"),
+            ("a ** b ** c", "((a Pow b) Pow c)"),
+            ("a + b * c - d", "((a Add (b Mul c)) Sub d)"),
+            ("a * b + c * d", "((a Mul b) Add (c Mul d))"),
+            (
+                "a || b && c | d ^ e & f == g < h << i + j * k ** l",
+                "(a LogicalOr (b LogicalAnd (c Or (d Xor (e And (f Eq (g Lt \
+                 (h Shl (i Add (j Mul (k Pow l)))))))))))",
+            ),
+            (
+                "a ** b * c + d << e < f == g & h ^ i | j && k || l",
+                "(((((((((((a Pow b) Mul c) Add d) Shl e) Lt f) Eq g) And h) Xor i) Or j) \
+                 LogicalAnd k) LogicalOr l)",
+            ),
+            ("-a + ~b", "((Negate a) Add (Not b))"),
+            ("a ? b + c : d || e", "(a ? (b Add c) : (d LogicalOr e))"),
+            ("a <= b != c ~^ d", "(((a Le b) Ne c) Xnor d)"),
+        ];
+        for (src, want) in cases {
+            let unit = parse_clean(&format!("module m; wire y; assign y = {src};\nendmodule"));
+            match &unit.modules[0].items[1] {
+                Item::ContinuousAssign { expr, .. } => assert_eq!(shape(expr), want, "{src}"),
+                other => panic!("expected assign, got {other:?}"),
+            }
         }
     }
 

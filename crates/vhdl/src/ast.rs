@@ -1,5 +1,6 @@
 //! Abstract syntax tree for the VHDL-93 subset.
 
+use aivril_hdl::short_str::ShortStr;
 use aivril_hdl::source::Span;
 use std::sync::Arc;
 
@@ -225,14 +226,10 @@ pub enum SeqStmt {
     },
     /// `for i in A to|downto B loop ... end loop;`
     For {
-        /// Loop variable name.
-        var: String,
-        /// Start bound.
-        from: Expr,
-        /// End bound.
-        to: Expr,
-        /// Direction.
-        downto: bool,
+        /// The `i in A to|downto B` header. Boxed: its two bounds
+        /// inline would make every statement node larger than an
+        /// assignment.
+        header: Box<ForHeader>,
         /// Body.
         body: Vec<SeqStmt>,
         /// Location.
@@ -286,6 +283,19 @@ pub enum SeqStmt {
     },
     /// `null;`
     Null,
+}
+
+/// The header of a `for` loop.
+#[derive(Debug, Clone)]
+pub struct ForHeader {
+    /// Loop variable name.
+    pub var: String,
+    /// Start bound.
+    pub from: Expr,
+    /// End bound.
+    pub to: Expr,
+    /// Direction.
+    pub downto: bool,
 }
 
 /// Binary operators.
@@ -372,7 +382,7 @@ pub enum Expr {
     /// Name reference.
     Ident {
         /// Name (lowercased).
-        name: String,
+        name: ShortStr,
         /// Location.
         span: Span,
     },
@@ -380,7 +390,7 @@ pub enum Expr {
     /// elaboration.
     Call {
         /// Called/indexed name.
-        name: String,
+        name: ShortStr,
         /// Arguments.
         args: Vec<Expr>,
         /// Location.
@@ -389,7 +399,7 @@ pub enum Expr {
     /// `name(H downto L)` / `name(L to H)` slice.
     Slice {
         /// Sliced name.
-        name: String,
+        name: ShortStr,
         /// High/left bound.
         left: Box<Expr>,
         /// Low/right bound.
@@ -462,5 +472,20 @@ impl Expr {
             Expr::Binary { lhs, .. } => lhs.span(),
             Expr::When { value, .. } => value.span(),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::mem::size_of;
+
+    /// Node sizes are part of the compile path's cost: every `Vec`
+    /// slot and by-value return moves a whole node. The rare `for`
+    /// header is boxed so the assignments set the statement size.
+    #[test]
+    fn node_sizes_are_pinned() {
+        assert_eq!(size_of::<Expr>(), 64);
+        assert_eq!(size_of::<SeqStmt>(), 144);
     }
 }

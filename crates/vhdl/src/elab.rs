@@ -8,8 +8,8 @@
 //! simulator evaluates from the wake cause of the executing process.
 
 use crate::ast::{
-    self, Architecture, BinOp, ConcurrentStmt, Decl, DesignFile, Entity, PortDir, SeqStmt,
-    SeverityLevel, TypeMark, UnOp, VarDecl,
+    self, Architecture, BinOp, ConcurrentStmt, Decl, DesignFile, Entity, ForHeader, PortDir,
+    SeqStmt, SeverityLevel, TypeMark, UnOp, VarDecl,
 };
 use aivril_hdl::diag::{codes, Diagnostic, Diagnostics};
 use aivril_hdl::ir::{
@@ -381,7 +381,7 @@ impl<'a> Elaborator<'a, '_> {
     fn try_eval_const(&self, e: &ast::Expr, scope: &Scope) -> Option<i64> {
         match e {
             ast::Expr::Int { value, .. } => Some(*value),
-            ast::Expr::Ident { name, .. } => scope.consts.get(name).copied(),
+            ast::Expr::Ident { name, .. } => scope.consts.get(name.as_str()).copied(),
             ast::Expr::Unary { op, operand } => {
                 let v = self.try_eval_const(operand, scope)?;
                 Some(match op {
@@ -503,10 +503,10 @@ impl<'a> Elaborator<'a, '_> {
                 Expr::Const(LogicVec::xes(1))
             }
             ast::Expr::Ident { name, span } => {
-                if let Some(&v) = scope.consts.get(name) {
+                if let Some(&v) = scope.consts.get(name.as_str()) {
                     return Expr::Const(LogicVec::from_u64(32, v as u64));
                 }
-                match scope.nets.get(name) {
+                match scope.nets.get(name.as_str()) {
                     Some(&id) => Expr::Net(id),
                     None => {
                         self.error(
@@ -526,7 +526,7 @@ impl<'a> Elaborator<'a, '_> {
                 span,
                 ..
             } => {
-                let Some(&net) = scope.nets.get(name) else {
+                let Some(&net) = scope.nets.get(name.as_str()) else {
                     self.error(
                         codes::VHDL_UNDECLARED,
                         format!("'{name}' is not declared"),
@@ -691,7 +691,7 @@ impl<'a> Elaborator<'a, '_> {
                     Some(ast::Expr::Ident {
                         name: sig,
                         span: sspan,
-                    }) => match scope.nets.get(sig) {
+                    }) => match scope.nets.get(sig.as_str()) {
                         Some(&net) => Expr::EdgeFlag { net, rising },
                         None => {
                             self.error(
@@ -788,7 +788,7 @@ impl<'a> Elaborator<'a, '_> {
 
     fn lower_target(&mut self, e: &ast::Expr, scope: &Scope) -> Option<LValue> {
         match e {
-            ast::Expr::Ident { name, span } => match scope.nets.get(name) {
+            ast::Expr::Ident { name, span } => match scope.nets.get(name.as_str()) {
                 Some(&id) => Some(LValue::Net(id)),
                 None => {
                     self.error(
@@ -800,7 +800,7 @@ impl<'a> Elaborator<'a, '_> {
                 }
             },
             ast::Expr::Call { name, args, span } => {
-                let Some(&id) = scope.nets.get(name) else {
+                let Some(&id) = scope.nets.get(name.as_str()) else {
                     self.error(
                         codes::VHDL_UNDECLARED,
                         format!("'{name}' is not declared"),
@@ -822,7 +822,7 @@ impl<'a> Elaborator<'a, '_> {
                 span,
                 ..
             } => {
-                let Some(&id) = scope.nets.get(name) else {
+                let Some(&id) = scope.nets.get(name.as_str()) else {
                     self.error(
                         codes::VHDL_UNDECLARED,
                         format!("'{name}' is not declared"),
@@ -1033,14 +1033,13 @@ impl<'a> Elaborator<'a, '_> {
                     b.patch(j, b.here());
                 }
             }
-            SeqStmt::For {
-                var,
-                from,
-                to,
-                downto,
-                body,
-                span,
-            } => {
+            SeqStmt::For { header, body, span } => {
+                let ForHeader {
+                    var,
+                    from,
+                    to,
+                    downto,
+                } = &**header;
                 // Hidden 32-bit loop counter, visible as `var` in the body.
                 let counter = self.design.add_net(Net {
                     name: format!("{}{}@{}", scope.prefix, var, span.start),
@@ -1110,7 +1109,7 @@ impl<'a> Elaborator<'a, '_> {
                 if let ast::Expr::Call { name, args, .. } = cond {
                     if name == "rising_edge" || name == "falling_edge" {
                         if let Some(ast::Expr::Ident { name: sig, .. }) = args.first() {
-                            if let Some(&net) = scope.nets.get(sig) {
+                            if let Some(&net) = scope.nets.get(sig.as_str()) {
                                 let trig = if name == "rising_edge" {
                                     Trigger::Posedge(net)
                                 } else {

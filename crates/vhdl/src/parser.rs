@@ -3,6 +3,7 @@
 use crate::ast::*;
 use crate::lexer::{Keyword as Kw, Punct, Token, TokenKind};
 use aivril_hdl::diag::{codes, Diagnostic, Diagnostics};
+use aivril_hdl::short_str::ShortStr;
 use aivril_hdl::source::Span;
 
 /// Parses a token stream into a design file, appending errors to `diags`.
@@ -641,10 +642,12 @@ impl<'src> Parser<'src, '_> {
             self.expect_kw(Kw::Loop)?;
             self.expect(Punct::Semi)?;
             return Some(SeqStmt::For {
-                var,
-                from,
-                to,
-                downto,
+                header: Box::new(ForHeader {
+                    var,
+                    from,
+                    to,
+                    downto,
+                }),
                 body,
                 span: stmt_span,
             });
@@ -940,10 +943,16 @@ impl<'src> Parser<'src, '_> {
         let (kind, span) = (self.peek().kind, self.peek().span);
         match kind {
             TokenKind::Number => {
-                let value = self.bump().text.parse::<i64>().unwrap_or({
-                    // Lexer guarantees digits; overflow falls back to 0.
-                    0
-                });
+                // The lexer guarantees digits, so parsing fails only on
+                // overflow.
+                let text = self.bump().text;
+                let value = match text.parse::<i64>() {
+                    Ok(value) => value,
+                    Err(_) => {
+                        self.error(format!("integer literal '{text}' is out of range"), span);
+                        0
+                    }
+                };
                 Expr::Int { value, span }
             }
             TokenKind::CharLit => Expr::CharLit {
@@ -982,7 +991,7 @@ impl<'src> Parser<'src, '_> {
                 Expr::Int { value: 0, span }
             }
             TokenKind::Ident => {
-                let name = self.bump_text();
+                let text = self.bump().text;
                 // Attribute?
                 if self.check(Punct::Tick) {
                     self.bump();
@@ -990,8 +999,13 @@ impl<'src> Parser<'src, '_> {
                         Some(a) => a,
                         None => ("event".to_string(), span),
                     };
-                    return Expr::Attr { name, attr, span };
+                    return Expr::Attr {
+                        name: text.into_owned(),
+                        attr,
+                        span,
+                    };
                 }
+                let name = ShortStr::new(&text);
                 // Call / index / slice?
                 if self.eat(Punct::LParen) {
                     let first = self.parse_expr();
@@ -1274,7 +1288,7 @@ end architecture;
         );
         match &unit.architectures[0].stmts[0] {
             ConcurrentStmt::Process { body, .. } => {
-                assert!(matches!(body[0], SeqStmt::For { downto: false, .. }));
+                assert!(matches!(&body[0], SeqStmt::For { header, .. } if !header.downto));
             }
             other => panic!("expected process, got {other:?}"),
         }

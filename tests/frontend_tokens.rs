@@ -238,3 +238,18 @@ fn vhdl_diagnostics_quote_tokens_unchanged() {
         ]
     );
 }
+
+/// An integer literal too large for the 64-bit integer type is an
+/// error, not a silent zero (which used to make `n = 0` true below).
+#[test]
+fn vhdl_integer_literal_out_of_range_is_diagnosed() {
+    let log = vhdl_log(
+        "entity tb is end tb;\narchitecture sim of tb is begin\nprocess\n\
+         variable n : integer;\nbegin\nn := 99999999999999999999;\n\
+         if n = 0 then report \"n is zero\"; end if;\nwait;\nend process;\nend sim;",
+    );
+    assert_eq!(
+        log,
+        "ERROR: [VRFC 10-1412] integer literal '99999999999999999999' is out of range [bad.vhd:6]\n"
+    );
+}
