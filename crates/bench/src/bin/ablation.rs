@@ -46,7 +46,7 @@ fn main() {
         "Ablation experiments, {} tasks x {} samples on {} thread(s)\n",
         base.task_limit.min(156),
         base.samples,
-        base.effective_threads()
+        base.banner_threads()
     );
 
     // -- 1. testbench-first vs simultaneous. Llama3-70B has the weakest

@@ -19,7 +19,7 @@ fn main() {
          on {} thread(s)\n",
         harness.problems().len(),
         config.samples,
-        config.effective_threads()
+        config.banner_threads()
     );
 
     let mut rows = Vec::new();

@@ -25,7 +25,7 @@ fn main() {
         "quicklook: {} tasks x {} samples on {} thread(s), {}",
         harness.problems().len(),
         config.samples,
-        config.effective_threads(),
+        config.banner_threads(),
         profile.name
     );
 

@@ -21,7 +21,7 @@ fn main() {
          on {} thread(s)\n",
         harness.problems().len(),
         config.samples,
-        config.effective_threads()
+        config.banner_threads()
     );
     let start = std::time::Instant::now();
 
@@ -78,8 +78,8 @@ fn main() {
 
     println!(
         "Completed in {:.2}s wall on {} thread(s).\n",
-        start.elapsed().as_secs_f64(),
-        config.effective_threads()
+        config.banner_wall_seconds(start),
+        config.banner_threads()
     );
     println!("{}", render_table1(&rows));
     if let Some(se) = max_se {

@@ -17,7 +17,7 @@ fn main() {
          on {} thread(s)\n",
         harness.problems().len(),
         config.samples,
-        config.effective_threads()
+        config.banner_threads()
     );
 
     let mut measured = Vec::new();

@@ -271,6 +271,29 @@ impl HarnessConfig {
             self.threads
         }
     }
+
+    /// The worker count the binaries' banners print:
+    /// [`Self::effective_threads`], or 0 under `AIVRIL_CANONICAL`,
+    /// which masks the schedule here as it does on the `[stats]` line.
+    #[must_use]
+    pub fn banner_threads(&self) -> usize {
+        if self.canonical {
+            0
+        } else {
+            self.effective_threads()
+        }
+    }
+
+    /// Wall seconds since `start` for the binaries' banners, or 0 under
+    /// `AIVRIL_CANONICAL`, like the `[stats]` wall time.
+    #[must_use]
+    pub fn banner_wall_seconds(&self, start: std::time::Instant) -> f64 {
+        if self.canonical {
+            0.0
+        } else {
+            start.elapsed().as_secs_f64()
+        }
+    }
 }
 
 /// Parses `AIVRIL_SHARD`'s `index/count` syntax; `None` on anything

@@ -32,6 +32,14 @@ pub struct RunResult {
     pub resilience: ResilienceCounters,
 }
 
+/// The `[dut, tb]` file pair the tools see for one candidate.
+fn candidate(task: &TaskInput, rtl: &str, tb: &str) -> Vec<HdlFile> {
+    vec![
+        HdlFile::new(task.dut_file_name(), rtl),
+        HdlFile::new(task.tb_file_name(), tb),
+    ]
+}
+
 /// Runs `call` under the retry/backoff/breaker policy. `call` receives
 /// the attempt index (mixed into the fault RNG by the agent) and either
 /// yields a usable [`Generation`] or a transport fault.
@@ -392,14 +400,15 @@ impl<'t> Aivril2<'t> {
         }
         let mut rtl = rtl_gen.code;
         let mut syntax_pass = false;
+        // The design of the last candidate that compiled cleanly; the
+        // functional loop simulates it instead of compiling it again.
+        let mut snapshot = None;
         let rtl_loop_span = self.recorder.span("stage.rtl_syntax_loop");
         for iter in 0..=self.config.max_syntax_iters {
             let iter_span = self.recorder.span("iteration");
             iter_span.attr_int("index", iter as i64);
-            let report = self.tools.compile(&[
-                HdlFile::new(task.dut_file_name(), rtl.clone()),
-                HdlFile::new(task.tb_file_name(), tb.clone()),
-            ]);
+            let (report, compiled) = self.tools.compile_snapshot(candidate(task, &rtl, &tb));
+            snapshot = compiled;
             iter_span.attr_int("errors", report.error_count() as i64);
             trace.push(
                 Stage::RtlSyntaxLoop,
@@ -456,13 +465,12 @@ impl<'t> Aivril2<'t> {
             for iter in 0..=self.config.max_functional_iters {
                 let iter_span = self.recorder.span("iteration");
                 iter_span.attr_int("index", iter as i64);
-                let report = self.tools.simulate(
-                    &[
-                        HdlFile::new(task.dut_file_name(), rtl.clone()),
-                        HdlFile::new(task.tb_file_name(), tb.clone()),
-                    ],
+                let (report, simulated) = self.tools.simulate_snapshot(
+                    candidate(task, &rtl, &tb),
                     Some("tb"),
+                    snapshot.as_ref(),
                 );
+                snapshot = simulated;
                 if iter_span.is_recording() {
                     iter_span.attr_bool("passed", report.passed);
                     iter_span.attr_int("failures", report.failures.len() as i64);

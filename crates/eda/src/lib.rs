@@ -27,6 +27,7 @@ mod disk;
 pub mod faults;
 mod latency;
 mod report;
+mod snapshot;
 mod source;
 mod xsim;
 
@@ -35,6 +36,7 @@ pub use disk::DiskStats;
 pub use faults::EdaFaultPlan;
 pub use latency::ToolLatencyModel;
 pub use report::{CompileReport, SimDiverged, SimReport, TestFailure, ToolMessage};
+pub use snapshot::Snapshot;
 pub use source::{HdlFile, Language};
 pub use xsim::{XsimToolSuite, PASS_MARKER};
 
@@ -56,4 +58,27 @@ pub trait ToolSuite {
     /// Compiles and simulates `files` with `top` as the root unit
     /// (auto-detected when `None`: the unit nothing else instantiates).
     fn simulate(&self, files: &[HdlFile], top: Option<&str>) -> SimReport;
+
+    /// [`Self::compile`], also returning a [`Snapshot`] of the
+    /// elaborated design when the compile is clean, so a later
+    /// [`Self::simulate_snapshot`] of the same files can skip
+    /// recompiling. The default keeps no snapshot.
+    fn compile_snapshot(&self, files: Vec<HdlFile>) -> (CompileReport, Option<Snapshot>) {
+        (self.compile(&files), None)
+    }
+
+    /// [`Self::simulate`], simulating `snapshot`'s design instead of
+    /// recompiling when it was built from byte-equal `files` for the
+    /// same `top`. Returns the snapshot of the design it simulated, to
+    /// hand to the next call. The default ignores `snapshot` and keeps
+    /// none.
+    fn simulate_snapshot(
+        &self,
+        files: Vec<HdlFile>,
+        top: Option<&str>,
+        snapshot: Option<&Snapshot>,
+    ) -> (SimReport, Option<Snapshot>) {
+        let _ = snapshot;
+        (self.simulate(&files, top), None)
+    }
 }

@@ -8,6 +8,7 @@ use crate::cache::{self, CompileEntry, EdaCache, ElabEntry, ParsedFile, SimEntry
 use crate::faults::{EdaFaultPlan, ToolFault};
 use crate::latency::ToolLatencyModel;
 use crate::report::{extract_failures, CompileReport, SimReport, ToolMessage};
+use crate::snapshot::Snapshot;
 use crate::source::{HdlFile, Language};
 use crate::ToolSuite;
 use aivril_hdl::diag::{Diagnostics, Severity};
@@ -458,7 +459,7 @@ impl XsimToolSuite {
         files: &[HdlFile],
         top: Option<&str>,
     ) -> (CompileReport, Option<Arc<Design>>) {
-        let (report, _clean, design) = self.compile_to_design_recorded(files, top);
+        let (report, _clean, design) = self.compile_to_design_recorded(files, top, None);
         (report, design)
     }
 
@@ -468,10 +469,16 @@ impl XsimToolSuite {
     /// a fault plan must never leak plan-dependent bytes into
     /// content-addressed storage. The second element is the clean report
     /// when a log-mutation fault shaped the first, `None` otherwise.
+    ///
+    /// `reuse`, a snapshot that [matches](Snapshot::matches) `files`
+    /// and `top`, stands in for the compile itself (and its cache
+    /// lookup); the fault gate, span and metrics around it are
+    /// unchanged, so the result is the one a fresh compile would give.
     fn compile_to_design_recorded(
         &self,
         files: &[HdlFile],
         top: Option<&str>,
+        reuse: Option<&Snapshot>,
     ) -> (CompileReport, Option<CompileReport>, Option<Arc<Design>>) {
         let span = self.recorder.span("eda.compile");
         let verdict = self.faults.tools_on().then(|| {
@@ -485,7 +492,10 @@ impl XsimToolSuite {
         let (report, clean, design, cache_hit) = match &verdict {
             Some(v) if v.failed() => (self.faulted_compile_report("compile", v), None, None, None),
             _ => {
-                let (clean, design, hit) = self.compile_to_design_cached(files, top);
+                let (clean, design, hit) = match reuse {
+                    Some(s) => (s.report.clone(), Some(Arc::clone(&s.design)), None),
+                    None => self.compile_to_design_cached(files, top),
+                };
                 match &verdict {
                     Some(v) => (
                         self.shape_compile_fault("compile", clean.clone(), v),
@@ -945,7 +955,9 @@ fn to_messages(diags: &Diagnostics, sources: &SourceMap) -> Vec<ToolMessage> {
 impl XsimToolSuite {
     /// Like [`ToolSuite::simulate`], additionally returning a VCD
     /// waveform dump of the whole run (when compilation succeeded) —
-    /// the `xsim` `--wdb`-style debug artefact.
+    /// the `xsim` `--wdb`-style debug artefact. The report is the one
+    /// `simulate` gives; the run bypasses the sim cache, which stores
+    /// no waveforms.
     #[must_use]
     pub fn simulate_with_waves(
         &self,
@@ -954,70 +966,70 @@ impl XsimToolSuite {
     ) -> (SimReport, Option<String>) {
         let span = self.recorder.span("eda.simulate");
         let (compile_report, design) = self.compile_to_design(files, top);
-        let mut log = compile_report.log.clone();
         let Some(design) = design else {
             span.attr_bool("passed", false);
-            return (
-                SimReport {
-                    compiled: false,
-                    passed: false,
-                    log,
-                    failures: Vec::new(),
-                    compile_messages: compile_report.messages,
-                    end_time: 0,
-                    finished: false,
-                    diverged: None,
-                    modeled_latency: compile_report.modeled_latency,
-                },
-                None,
-            );
+            return (not_compiled(compile_report), None);
         };
-        log.push_str(&format!(
-            "INFO: [xsim] Running simulation of '{}'\n",
-            design.top
-        ));
-        let mut sim = Simulator::new(&design, self.sim_config).with_recorder(self.recorder.clone());
-        sim.record_waves();
-        let result = sim.run();
-        self.kernel.fold(&sim.perf());
-        let vcd = sim.vcd();
-        log.push_str(&result.log_text());
-        let diverged = diverged_from(&result);
-        let failures = extract_failures(&log);
-        let passed = result.is_clean()
-            && failures.is_empty()
-            && (result.finished || result.starved)
-            && log.contains(PASS_MARKER);
-        let sim_latency = self.latency.sim_seconds(result.instructions_executed);
-        if span.is_recording() {
-            self.recorder.advance(sim_latency);
-            span.attr_bool("passed", passed);
-            span.attr_int("failures", failures.len() as i64);
-            span.attr_f64("sim_s", sim_latency);
-            self.recorder
-                .counter_add("eda_invocations_total", &[("phase", "simulate")], 1);
-            self.recorder.observe(
-                "eda_sim_seconds",
-                &[],
-                &[0.5, 1.0, 2.0, 4.0, 8.0, 16.0],
-                sim_latency,
-            );
-        }
-        (
-            SimReport {
-                compiled: true,
-                passed,
-                log,
-                failures,
-                compile_messages: compile_report.messages,
-                end_time: result.end_time,
-                finished: result.finished,
-                diverged,
-                modeled_latency: compile_report.modeled_latency + sim_latency,
-            },
-            vcd,
-        )
+        let run = self.run_sim(&compile_report, &design, false, true);
+        self.record_sim(&span, &run.report, run.sim_latency, None);
+        (run.report, run.vcd)
     }
+
+    /// Span attributes and metrics of one simulate invocation (a no-op
+    /// unless recording). Pure functions of the report, so cache hits
+    /// and misses emit identical telemetry.
+    fn record_sim(
+        &self,
+        span: &aivril_obs::Span,
+        report: &SimReport,
+        sim_latency: f64,
+        cache_hit: Option<bool>,
+    ) {
+        if !span.is_recording() {
+            return;
+        }
+        self.recorder.advance(sim_latency);
+        span.attr_bool("passed", report.passed);
+        span.attr_int("failures", report.failures.len() as i64);
+        span.attr_f64("sim_s", sim_latency);
+        if let Some(hit) = cache_hit {
+            span.attr_bool("cache_hit", hit);
+        }
+        self.recorder
+            .counter_add("eda_invocations_total", &[("phase", "simulate")], 1);
+        self.recorder.observe(
+            "eda_sim_seconds",
+            &[],
+            &[0.5, 1.0, 2.0, 4.0, 8.0, 16.0],
+            sim_latency,
+        );
+    }
+}
+
+/// The sim report of a run whose compile failed: the compile log, no
+/// simulation.
+fn not_compiled(compile_report: CompileReport) -> SimReport {
+    SimReport {
+        compiled: false,
+        passed: false,
+        log: compile_report.log,
+        failures: Vec::new(),
+        compile_messages: compile_report.messages,
+        end_time: 0,
+        finished: false,
+        diverged: None,
+        modeled_latency: compile_report.modeled_latency,
+    }
+}
+
+/// One kernel run: the report, the sim-phase share of the modeled
+/// latency, the kernel series for cache replay and the waveform dump,
+/// each when requested.
+struct SimRun {
+    report: SimReport,
+    sim_latency: f64,
+    telemetry: Option<aivril_sim::KernelTelemetry>,
+    vcd: Option<String>,
 }
 
 /// Maps a kernel watchdog abort into the structured report diagnostic.
@@ -1031,16 +1043,16 @@ fn diverged_from(result: &aivril_sim::SimResult) -> Option<crate::report::SimDiv
 
 impl XsimToolSuite {
     /// Runs the simulation phase on an already-elaborated design,
-    /// returning the report, the sim-phase share of the modeled latency
-    /// and — when `collect_telemetry` — the kernel series for cache
-    /// replay. This is the single implementation behind both the live
-    /// and cache-miss paths, so they cannot diverge.
+    /// collecting the kernel telemetry and the waveform dump when asked.
+    /// This is the single implementation behind the live, cache-miss
+    /// and waveform paths, so they cannot diverge.
     fn run_sim(
         &self,
         compile_report: &CompileReport,
         design: &Design,
         collect_telemetry: bool,
-    ) -> (SimReport, f64, Option<aivril_sim::KernelTelemetry>) {
+        waves: bool,
+    ) -> SimRun {
         let mut log = compile_report.log.clone();
         log.push_str(&format!(
             "INFO: [xsim] Running simulation of '{}'\n",
@@ -1049,6 +1061,9 @@ impl XsimToolSuite {
         let mut sim = Simulator::new(design, self.sim_config).with_recorder(self.recorder.clone());
         if collect_telemetry {
             sim.collect_telemetry();
+        }
+        if waves {
+            sim.record_waves();
         }
         let result = sim.run();
         self.kernel.fold(&sim.perf());
@@ -1084,7 +1099,12 @@ impl XsimToolSuite {
             diverged: diverged_from(&result),
             modeled_latency: compile_report.modeled_latency + sim_latency,
         };
-        (report, sim_latency, sim.take_telemetry())
+        SimRun {
+            report,
+            sim_latency,
+            vcd: sim.vcd(),
+            telemetry: sim.take_telemetry(),
+        }
     }
 
     /// Cache layer around [`Self::run_sim`]. On a miss the kernel runs
@@ -1151,8 +1171,8 @@ impl XsimToolSuite {
         design: &Design,
     ) -> (SimReport, f64, Option<bool>) {
         let Some(cache) = &self.cache else {
-            let (report, sim_latency, _) = self.run_sim(compile_report, design, false);
-            return (report, sim_latency, None);
+            let run = self.run_sim(compile_report, design, false, false);
+            return (run.report, run.sim_latency, None);
         };
         let key = cache::sim_key(files, top, &self.latency, &self.sim_config);
         let (slot, hit) = cache.sim_slot(key);
@@ -1163,11 +1183,11 @@ impl XsimToolSuite {
                 // Telemetry is collected even when this suite's recorder
                 // is disabled: the recorder-free scoring suite may
                 // populate an entry a traced worker hits later.
-                let (report, sim_latency, kernel) = self.run_sim(compile_report, design, true);
+                let run = self.run_sim(compile_report, design, true, false);
                 SimEntry {
-                    report,
-                    sim_latency,
-                    kernel,
+                    report: run.report,
+                    sim_latency: run.sim_latency,
+                    kernel: run.telemetry,
                 }
             })
         });
@@ -1298,53 +1318,54 @@ impl ToolSuite for XsimToolSuite {
     }
 
     fn compile(&self, files: &[HdlFile]) -> CompileReport {
-        self.compile_to_design(files, None).0
+        self.compile_snapshot(files.to_vec()).0
     }
 
     fn simulate(&self, files: &[HdlFile], top: Option<&str>) -> SimReport {
+        self.simulate_snapshot(files.to_vec(), top, None).0
+    }
+
+    fn compile_snapshot(&self, files: Vec<HdlFile>) -> (CompileReport, Option<Snapshot>) {
+        let (report, clean, design) = self.compile_to_design_recorded(&files, None, None);
+        let snapshot = design.map(|design| Snapshot {
+            files,
+            report: clean.unwrap_or_else(|| report.clone()),
+            design,
+            auto_top: true,
+        });
+        (report, snapshot)
+    }
+
+    fn simulate_snapshot(
+        &self,
+        files: Vec<HdlFile>,
+        top: Option<&str>,
+        snapshot: Option<&Snapshot>,
+    ) -> (SimReport, Option<Snapshot>) {
         let span = self.recorder.span("eda.simulate");
-        let (compile_report, clean_compile, design) = self.compile_to_design_recorded(files, top);
+        let reuse = snapshot.filter(|s| s.matches(&files, top));
+        let (compile_report, clean_compile, design) =
+            self.compile_to_design_recorded(&files, top, reuse);
         let Some(design) = design else {
             span.attr_bool("passed", false);
-            return SimReport {
-                compiled: false,
-                passed: false,
-                log: compile_report.log,
-                failures: Vec::new(),
-                compile_messages: compile_report.messages,
-                end_time: 0,
-                finished: false,
-                diverged: None,
-                modeled_latency: compile_report.modeled_latency,
-            };
+            return (not_compiled(compile_report), None);
         };
         // The sim phase (and anything it caches) builds on the *clean*
         // compile report; compile-level log corruption belongs to the
         // compile invocation alone.
-        let base_compile = clean_compile.as_ref().unwrap_or(&compile_report);
+        let base_compile = clean_compile.unwrap_or_else(|| compile_report.clone());
         let (report, sim_latency, cache_hit) =
-            self.run_sim_cached(files, top, base_compile, &design);
-        if span.is_recording() {
-            // Pure functions of the cached report — the hit and miss
-            // paths emit identical telemetry (the kernel's own series
-            // are replayed from the cache entry inside `run_sim_cached`).
-            self.recorder.advance(sim_latency);
-            span.attr_bool("passed", report.passed);
-            span.attr_int("failures", report.failures.len() as i64);
-            span.attr_f64("sim_s", sim_latency);
-            if let Some(hit) = cache_hit {
-                span.attr_bool("cache_hit", hit);
-            }
-            self.recorder
-                .counter_add("eda_invocations_total", &[("phase", "simulate")], 1);
-            self.recorder.observe(
-                "eda_sim_seconds",
-                &[],
-                &[0.5, 1.0, 2.0, 4.0, 8.0, 16.0],
-                sim_latency,
-            );
-        }
-        report
+            self.run_sim_cached(&files, top, &base_compile, &design);
+        // The kernel's own series are replayed from the cache entry
+        // inside `run_sim_cached`.
+        self.record_sim(&span, &report, sim_latency, cache_hit);
+        let next = Snapshot {
+            files,
+            report: base_compile,
+            design,
+            auto_top: top.is_none() || reuse.is_some_and(|s| s.auto_top),
+        };
+        (report, Some(next))
     }
 }
 
@@ -1749,5 +1770,116 @@ mod tests {
             Some("tb"),
         );
         assert!(s.modeled_latency > c.modeled_latency);
+    }
+
+    /// The `[inv, tb]` pair of the snapshot tests, with `tb` as given.
+    fn pair(dut: &str, tb: &str) -> Vec<HdlFile> {
+        vec![HdlFile::new("inv.v", dut), HdlFile::new("tb.v", tb)]
+    }
+
+    /// Whether `after` simulated the very design `before` holds.
+    fn reused(before: &Snapshot, after: Option<Snapshot>) -> bool {
+        Arc::ptr_eq(&before.design, &after.expect("clean compile").design)
+    }
+
+    #[test]
+    fn snapshot_is_reused_only_for_byte_equal_files_and_the_same_top() {
+        let tools = XsimToolSuite::new();
+        let (report, snapshot) = tools.compile_snapshot(pair(GOOD_V, GOOD_TB));
+        assert!(report.success);
+        let snapshot = snapshot.expect("a clean compile keeps its design");
+        assert_eq!(snapshot.files, pair(GOOD_V, GOOD_TB));
+
+        // Byte-equal files, and the top the design was elaborated for
+        // (named, or auto-detected as in the compile).
+        for top in [Some("tb"), None] {
+            let (sim, next) = tools.simulate_snapshot(pair(GOOD_V, GOOD_TB), top, Some(&snapshot));
+            assert!(sim.passed, "{}", sim.log);
+            assert!(reused(&snapshot, next), "top {top:?}");
+        }
+        // A reused design hands on a snapshot that is reused in turn.
+        let (_, next) = tools.simulate_snapshot(pair(GOOD_V, GOOD_TB), Some("tb"), Some(&snapshot));
+        let next = next.expect("clean compile");
+        let (_, again) = tools.simulate_snapshot(pair(GOOD_V, GOOD_TB), None, Some(&next));
+        assert!(reused(&snapshot, again));
+
+        // A one-byte edit, a renamed file or another top recompiles.
+        let edited = GOOD_V.replace("~a", "!a");
+        assert_eq!(edited.len(), GOOD_V.len());
+        let renamed = vec![
+            HdlFile::new("inv2.v", GOOD_V),
+            HdlFile::new("tb.v", GOOD_TB),
+        ];
+        for (files, top) in [
+            (pair(&edited, GOOD_TB), Some("tb")),
+            (renamed, Some("tb")),
+            (pair(GOOD_V, GOOD_TB), Some("inv")),
+        ] {
+            let (_, next) = tools.simulate_snapshot(files, top, Some(&snapshot));
+            assert!(!reused(&snapshot, next), "top {top:?}");
+        }
+        // A snapshot elaborated for a named top is not what `None`
+        // auto-detects.
+        let (_, inv) = tools.simulate_snapshot(pair(GOOD_V, GOOD_TB), Some("inv"), None);
+        let inv = inv.expect("clean compile");
+        assert_eq!(inv.design.top, "inv");
+        let (_, next) = tools.simulate_snapshot(pair(GOOD_V, GOOD_TB), None, Some(&inv));
+        assert!(!reused(&inv, next));
+    }
+
+    #[test]
+    fn failed_compiles_yield_no_snapshot() {
+        let tools = XsimToolSuite::new();
+        let (report, snapshot) = tools.compile_snapshot(pair(BAD_V, GOOD_TB));
+        assert!(!report.success);
+        assert!(snapshot.is_none());
+        let (sim, snapshot) = tools.simulate_snapshot(pair(BAD_V, GOOD_TB), Some("tb"), None);
+        assert!(!sim.compiled);
+        assert!(snapshot.is_none());
+        let plan = EdaFaultPlan::parse("crash=1.0").expect("plan");
+        let (report, snapshot) = XsimToolSuite::new()
+            .with_eda_faults(plan)
+            .compile_snapshot(pair(GOOD_V, GOOD_TB));
+        assert!(!report.success);
+        assert!(snapshot.is_none());
+    }
+
+    /// A simulate that reuses a snapshot gives the report a fresh
+    /// `simulate` gives, field for field, with the cache off and on and
+    /// under log and crash faults (which roll per invocation, as
+    /// before).
+    #[test]
+    fn reused_snapshot_simulates_like_a_fresh_compile() {
+        let plan = EdaFaultPlan::parse("crash=0.3,garbled=0.3,truncate=0.3").expect("plan");
+        let suites = [
+            XsimToolSuite::new(),
+            XsimToolSuite::new().with_cache(EdaCache::new()),
+            XsimToolSuite::new().with_eda_faults(plan),
+            XsimToolSuite::new()
+                .with_eda_faults(plan)
+                .with_cache(EdaCache::new()),
+        ];
+        let mut faulted = 0;
+        let mut reuses = 0;
+        for (index, tools) in suites.iter().enumerate() {
+            for variant in 0..12 {
+                let tb = format!("{GOOD_TB}// variant {variant}\n");
+                let fresh = tools.simulate(&pair(GOOD_V, &tb), Some("tb"));
+                let (_, snapshot) = tools.compile_snapshot(pair(GOOD_V, &tb));
+                let (via_snapshot, next) =
+                    tools.simulate_snapshot(pair(GOOD_V, &tb), Some("tb"), snapshot.as_ref());
+                assert_eq!(
+                    format!("{via_snapshot:?}"),
+                    format!("{fresh:?}"),
+                    "suite {index}, variant {variant}"
+                );
+                if let (Some(before), Some(after)) = (&snapshot, next) {
+                    reuses += usize::from(Arc::ptr_eq(&before.design, &after.design));
+                }
+                faulted += usize::from(!fresh.passed);
+            }
+        }
+        assert!(reuses >= 24, "only {reuses} reuses");
+        assert!(faulted > 0, "the fault plan must hit some invocations");
     }
 }

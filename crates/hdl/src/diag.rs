@@ -229,6 +229,8 @@ pub mod codes {
     pub const SIM_RUNTIME: &str = "XSIM 43-3225";
     /// Width mismatch warning.
     pub const WIDTH_MISMATCH: &str = "VRFC 10-3091";
+    /// Statement or expression nesting past a parser's limit.
+    pub const NESTING_LIMIT: &str = "VRFC 10-3380";
 }
 
 #[cfg(test)]

@@ -43,7 +43,7 @@ pub mod token;
 pub use elab::elaborate;
 pub use lexer::lex;
 pub use literal::try_parse_literal;
-pub use parser::parse;
+pub use parser::{parse, MAX_NESTING};
 
 use aivril_hdl::diag::Diagnostics;
 use aivril_hdl::ir::Design;

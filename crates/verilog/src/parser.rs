@@ -12,12 +12,24 @@ use aivril_hdl::diag::{codes, Diagnostic, Diagnostics};
 use aivril_hdl::short_str::ShortStr;
 use aivril_hdl::source::Span;
 
+/// The deepest nesting the parser accepts. Each nested statement,
+/// sub-expression and unary operator counts one level, and so does each
+/// binary or select fold, because chains build left-deep trees: every
+/// later pass (elaboration, lowering, evaluation, drop) walks the tree
+/// recursively, so this bounds their stack as well as the parser's.
+/// Sized so the deepest accepted input of every shape parses,
+/// elaborates, lowers, simulates and drops on a 2 MiB thread; the
+/// golden suite peaks at 18 levels.
+pub const MAX_NESTING: u32 = 128;
+
 /// Parses a token stream into modules, appending errors to `diags`.
 pub fn parse(tokens: Vec<Token<'_>>, diags: &mut Diagnostics) -> SourceUnit {
     let mut p = Parser {
         tokens,
         pos: 0,
         diags,
+        depth: 0,
+        too_deep: false,
     };
     let mut unit = SourceUnit::default();
     while !p.at_eof() {
@@ -41,6 +53,11 @@ struct Parser<'src, 'd> {
     tokens: Vec<Token<'src>>,
     pos: usize,
     diags: &'d mut Diagnostics,
+    /// Current nesting, in [`MAX_NESTING`] levels.
+    depth: u32,
+    /// Set once the input went past [`MAX_NESTING`]: the rest of the
+    /// input is abandoned and later errors are not reported.
+    too_deep: bool,
 }
 
 impl<'src> Parser<'src, '_> {
@@ -111,7 +128,7 @@ impl<'src> Parser<'src, '_> {
 
     fn error(&mut self, message: String, span: Span) {
         // Cap the error count so corrupted files produce focused logs.
-        if self.diags.error_count() < 20 {
+        if self.diags.error_count() < 20 && !self.too_deep {
             self.diags
                 .push(Diagnostic::error(codes::VLOG_SYNTAX, message, span));
         }
@@ -149,6 +166,80 @@ impl<'src> Parser<'src, '_> {
         }
         self.error_found("expected identifier");
         None
+    }
+
+    /// Whether a node `height` levels tall fits at the current depth.
+    /// Past [`MAX_NESTING`] it reports the error once and jumps to the
+    /// end of input, so every open construct unwinds without recursing
+    /// further.
+    #[inline]
+    fn fits(&mut self, height: u32) -> bool {
+        self.depth + height <= MAX_NESTING || self.too_deep_here()
+    }
+
+    #[cold]
+    fn too_deep_here(&mut self) -> bool {
+        if !self.too_deep {
+            let span = self.peek().span;
+            self.diags.push(Diagnostic::error(
+                codes::NESTING_LIMIT,
+                format!("nesting exceeds the limit of {MAX_NESTING} levels"),
+                span,
+            ));
+            self.too_deep = true;
+            self.pos = self.tokens.len() - 1;
+        }
+        false
+    }
+
+    /// Checks a fold onto `base`, the left-deep tree of the expression
+    /// that began at token `start`, whose height so far is `height`
+    /// (`None` until first needed). A tree is never taller than the
+    /// tokens it spans, since every node consumes one, so heights are
+    /// only walked for expressions long enough to reach the limit.
+    #[inline]
+    fn fold_fits(
+        &mut self,
+        start: usize,
+        height: &mut Option<u32>,
+        base: &Expr,
+        operands: &[&Expr],
+    ) -> bool {
+        height.is_none() && self.depth as usize + (self.pos - start) <= MAX_NESTING as usize
+            || self.fold_fits_measured(height, base, operands)
+    }
+
+    /// [`Self::fold_fits`] for a long expression: walks the heights.
+    fn fold_fits_measured(
+        &mut self,
+        height: &mut Option<u32>,
+        base: &Expr,
+        operands: &[&Expr],
+    ) -> bool {
+        let below = height.unwrap_or_else(|| expr_height(base));
+        let folded = 1 + operands
+            .iter()
+            .map(|e| expr_height(e))
+            .fold(below, u32::max);
+        if !self.fits(folded) {
+            return false;
+        }
+        *height = Some(folded);
+        true
+    }
+
+    /// Enters one nesting level; `false` past [`MAX_NESTING`]. Every
+    /// `true` is paired with a [`Self::leave`].
+    #[inline]
+    fn enter(&mut self) -> bool {
+        let fits = self.fits(1);
+        self.depth += u32::from(fits);
+        fits
+    }
+
+    #[inline]
+    fn leave(&mut self) {
+        self.depth -= 1;
     }
 
     /// Skips tokens until after the next `;`, or until a module boundary.
@@ -620,6 +711,15 @@ impl<'src> Parser<'src, '_> {
     // ------------------------------------------------------- statements
 
     fn parse_stmt(&mut self) -> Option<Stmt> {
+        if !self.enter() {
+            return None;
+        }
+        let stmt = self.parse_stmt_here();
+        self.leave();
+        stmt
+    }
+
+    fn parse_stmt_here(&mut self) -> Option<Stmt> {
         let (kind, span) = (self.peek().kind, self.peek().span);
         match kind {
             TokenKind::Keyword(Kw::Begin) => {
@@ -880,6 +980,15 @@ impl<'src> Parser<'src, '_> {
     /// Restricted expression for assignment targets: identifier with
     /// optional select, or a concatenation of such.
     fn parse_lvalue_expr(&mut self) -> Option<Expr> {
+        if !self.enter() {
+            return None;
+        }
+        let target = self.parse_lvalue_here();
+        self.leave();
+        target
+    }
+
+    fn parse_lvalue_here(&mut self) -> Option<Expr> {
         if self.eat(Punct::LBrace) {
             let mut parts = Vec::new();
             loop {
@@ -924,7 +1033,12 @@ impl<'src> Parser<'src, '_> {
     // ------------------------------------------------------ expressions
 
     fn parse_expr(&mut self) -> Expr {
-        self.parse_ternary()
+        if !self.enter() {
+            return placeholder(self.peek().span);
+        }
+        let expr = self.parse_ternary();
+        self.leave();
+        expr
     }
 
     fn parse_ternary(&mut self) -> Expr {
@@ -981,15 +1095,25 @@ impl<'src> Parser<'src, '_> {
     /// Precedence climbing over operators of level `min_level` and
     /// tighter: one operator lookup per operand, and a chain at one
     /// level folds left in a loop, so `a + b + c` is `(a + b) + c`
-    /// without recursion per term.
+    /// without recursion per term. Each fold is checked against
+    /// [`MAX_NESTING`] by the height of the tree it builds.
     fn parse_binary(&mut self, min_level: u8) -> Expr {
+        let start = self.pos;
         let mut lhs = self.parse_unary();
+        let mut height = None;
         while let Some((op, level)) = self.binop() {
             if level < min_level {
                 break;
             }
             self.bump();
+            if !self.enter() {
+                break;
+            }
             let rhs = self.parse_binary(level + 1);
+            self.leave();
+            if !self.fold_fits(start, &mut height, &lhs, &[&rhs]) {
+                break;
+            }
             lhs = Expr::Binary {
                 op,
                 lhs: Box::new(lhs),
@@ -1015,8 +1139,12 @@ impl<'src> Parser<'src, '_> {
             _ => None,
         };
         if let Some(op) = op {
-            self.bump();
+            let span = self.bump().span;
+            if !self.enter() {
+                return placeholder(span);
+            }
             let operand = self.parse_unary();
+            self.leave();
             return Expr::Unary {
                 op,
                 operand: Box::new(operand),
@@ -1025,26 +1153,39 @@ impl<'src> Parser<'src, '_> {
         self.parse_postfix()
     }
 
+    /// Select chains fold left like binary chains and are checked the
+    /// same way.
     fn parse_postfix(&mut self) -> Expr {
+        let start = self.pos;
         let mut expr = self.parse_primary();
+        let mut height = None;
         while self.check(Punct::LBracket) {
             self.bump();
             let first = self.parse_expr();
-            if self.eat(Punct::Colon) {
-                let lsb = self.parse_expr();
-                self.expect(Punct::RBracket);
-                expr = Expr::RangeSel {
+            let lsb = if self.eat(Punct::Colon) {
+                Some(self.parse_expr())
+            } else {
+                None
+            };
+            self.expect(Punct::RBracket);
+            let operands: &[&Expr] = match &lsb {
+                Some(lsb) => &[&first, lsb],
+                None => &[&first],
+            };
+            if !self.fold_fits(start, &mut height, &expr, operands) {
+                break;
+            }
+            expr = match lsb {
+                Some(lsb) => Expr::RangeSel {
                     base: Box::new(expr),
                     msb: Box::new(first),
                     lsb: Box::new(lsb),
-                };
-            } else {
-                self.expect(Punct::RBracket);
-                expr = Expr::Index {
+                },
+                None => Expr::Index {
                     base: Box::new(expr),
                     index: Box::new(first),
-                };
-            }
+                },
+            };
         }
         expr
     }
@@ -1136,6 +1277,31 @@ impl<'src> Parser<'src, '_> {
                 }
             }
         }
+    }
+}
+
+/// The stand-in for an expression the parser could not read.
+fn placeholder(span: Span) -> Expr {
+    Expr::Number {
+        text: "0".into(),
+        span,
+    }
+}
+
+/// The height of an expression tree; a leaf is 1. Only called on trees
+/// the parser built within [`MAX_NESTING`], so the recursion is bounded.
+fn expr_height(expr: &Expr) -> u32 {
+    let max = |exprs: &[&Expr]| exprs.iter().map(|e| expr_height(e)).max().unwrap_or(0);
+    1 + match expr {
+        Expr::Number { .. } | Expr::Ident { .. } | Expr::Time { .. } => 0,
+        Expr::Index { base, index } => max(&[base, index]),
+        Expr::RangeSel { base, msb, lsb } => max(&[base, msb, lsb]),
+        Expr::Unary { operand, .. } => expr_height(operand),
+        Expr::Binary { lhs, rhs, .. } => max(&[lhs, rhs]),
+        Expr::Ternary { cond, then, els } => max(&[cond, then, els]),
+        Expr::Concat(parts) => parts.iter().map(expr_height).max().unwrap_or(0),
+        Expr::Repeat { count, value } => max(&[count, value]),
+        Expr::Call(call) => call.args.iter().map(expr_height).max().unwrap_or(0),
     }
 }
 

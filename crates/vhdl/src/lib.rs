@@ -41,7 +41,7 @@ mod parser;
 
 pub use elab::elaborate;
 pub use lexer::{lex, Token, TokenKind};
-pub use parser::parse;
+pub use parser::{parse, MAX_NESTING};
 
 use aivril_hdl::diag::Diagnostics;
 use aivril_hdl::ir::Design;

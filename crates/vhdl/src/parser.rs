@@ -6,12 +6,24 @@ use aivril_hdl::diag::{codes, Diagnostic, Diagnostics};
 use aivril_hdl::short_str::ShortStr;
 use aivril_hdl::source::Span;
 
+/// The deepest nesting the parser accepts. Each nested sequential
+/// statement, sub-expression, unary operator and `when … else` arm
+/// counts one level, and so does each binary fold, because chains build
+/// left-deep trees: every later pass (elaboration, lowering, evaluation,
+/// drop) walks the tree recursively, so this bounds their stack as well
+/// as the parser's. Sized so the deepest accepted input of every shape
+/// parses, elaborates, lowers, simulates and drops on a 2 MiB thread;
+/// the golden suite peaks at 20 levels.
+pub const MAX_NESTING: u32 = 128;
+
 /// Parses a token stream into a design file, appending errors to `diags`.
 pub fn parse(tokens: Vec<Token<'_>>, diags: &mut Diagnostics) -> DesignFile {
     let mut p = Parser {
         tokens,
         pos: 0,
         diags,
+        depth: 0,
+        too_deep: false,
     };
     let mut file = DesignFile::default();
     while !p.at_eof() {
@@ -46,6 +58,11 @@ struct Parser<'src, 'd> {
     tokens: Vec<Token<'src>>,
     pos: usize,
     diags: &'d mut Diagnostics,
+    /// Current nesting, in [`MAX_NESTING`] levels.
+    depth: u32,
+    /// Set once the input went past [`MAX_NESTING`]: the rest of the
+    /// input is abandoned and later errors are not reported.
+    too_deep: bool,
 }
 
 impl<'src> Parser<'src, '_> {
@@ -112,7 +129,7 @@ impl<'src> Parser<'src, '_> {
     }
 
     fn error(&mut self, message: String, span: Span) {
-        if self.diags.error_count() < 20 {
+        if self.diags.error_count() < 20 && !self.too_deep {
             self.diags
                 .push(Diagnostic::error(codes::VHDL_SYNTAX, message, span));
         }
@@ -158,6 +175,80 @@ impl<'src> Parser<'src, '_> {
         }
         self.error_found("expected identifier");
         None
+    }
+
+    /// Whether a node `height` levels tall fits at the current depth.
+    /// Past [`MAX_NESTING`] it reports the error once and jumps to the
+    /// end of input, so every open construct unwinds without recursing
+    /// further.
+    #[inline]
+    fn fits(&mut self, height: u32) -> bool {
+        self.depth + height <= MAX_NESTING || self.too_deep_here()
+    }
+
+    #[cold]
+    fn too_deep_here(&mut self) -> bool {
+        if !self.too_deep {
+            let span = self.peek().span;
+            self.diags.push(Diagnostic::error(
+                codes::NESTING_LIMIT,
+                format!("nesting exceeds the limit of {MAX_NESTING} levels"),
+                span,
+            ));
+            self.too_deep = true;
+            self.pos = self.tokens.len() - 1;
+        }
+        false
+    }
+
+    /// Checks a fold onto `base`, the left-deep tree of the expression
+    /// that began at token `start`, whose height so far is `height`
+    /// (`None` until first needed). A tree is never taller than the
+    /// tokens it spans, since every node consumes one, so heights are
+    /// only walked for expressions long enough to reach the limit.
+    #[inline]
+    fn fold_fits(
+        &mut self,
+        start: usize,
+        height: &mut Option<u32>,
+        base: &Expr,
+        operands: &[&Expr],
+    ) -> bool {
+        height.is_none() && self.depth as usize + (self.pos - start) <= MAX_NESTING as usize
+            || self.fold_fits_measured(height, base, operands)
+    }
+
+    /// [`Self::fold_fits`] for a long expression: walks the heights.
+    fn fold_fits_measured(
+        &mut self,
+        height: &mut Option<u32>,
+        base: &Expr,
+        operands: &[&Expr],
+    ) -> bool {
+        let below = height.unwrap_or_else(|| expr_height(base));
+        let folded = 1 + operands
+            .iter()
+            .map(|e| expr_height(e))
+            .fold(below, u32::max);
+        if !self.fits(folded) {
+            return false;
+        }
+        *height = Some(folded);
+        true
+    }
+
+    /// Enters one nesting level; `false` past [`MAX_NESTING`]. Every
+    /// `true` is paired with a [`Self::leave`].
+    #[inline]
+    fn enter(&mut self) -> bool {
+        let fits = self.fits(1);
+        self.depth += u32::from(fits);
+        fits
+    }
+
+    #[inline]
+    fn leave(&mut self) {
+        self.depth -= 1;
     }
 
     fn skip_past_semi(&mut self) {
@@ -568,6 +659,15 @@ impl<'src> Parser<'src, '_> {
     }
 
     fn parse_seq_stmt(&mut self) -> Option<SeqStmt> {
+        if !self.enter() {
+            return None;
+        }
+        let stmt = self.parse_seq_stmt_here();
+        self.leave();
+        stmt
+    }
+
+    fn parse_seq_stmt_here(&mut self) -> Option<SeqStmt> {
         let stmt_span = self.peek().span;
         if self.eat_kw(Kw::If) {
             let mut arms = Vec::new();
@@ -800,7 +900,11 @@ impl<'src> Parser<'src, '_> {
             if self.expect_kw(Kw::Else).is_none() {
                 return value;
             }
+            if !self.enter() {
+                return value;
+            }
             let els = self.parse_when_expr();
+            self.leave();
             return Expr::When {
                 value: Box::new(value),
                 cond: Box::new(cond),
@@ -811,8 +915,22 @@ impl<'src> Parser<'src, '_> {
     }
 
     fn parse_expr(&mut self) -> Expr {
-        // Logical operators (lowest precedence, left-assoc chain).
+        if !self.enter() {
+            return Expr::Int {
+                value: 0,
+                span: self.peek().span,
+            };
+        }
+        let expr = self.parse_logical();
+        self.leave();
+        expr
+    }
+
+    /// Logical operators (lowest precedence, left-assoc chain).
+    fn parse_logical(&mut self) -> Expr {
+        let start = self.pos;
         let mut lhs = self.parse_relational();
+        let mut height = None;
         loop {
             let op = if self.eat_kw(Kw::And) {
                 BinOp::And
@@ -830,12 +948,32 @@ impl<'src> Parser<'src, '_> {
                 return lhs;
             };
             let rhs = self.parse_relational();
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
+            lhs = match self.fold(start, &mut height, op, lhs, rhs) {
+                Ok(folded) => folded,
+                Err(lhs) => return lhs,
             };
         }
+    }
+
+    /// Folds `lhs op rhs` onto the left-deep chain that began at token
+    /// `start`, checked by [`Self::fold_fits`]; past the limit, hands
+    /// `lhs` back.
+    fn fold(
+        &mut self,
+        start: usize,
+        height: &mut Option<u32>,
+        op: BinOp,
+        lhs: Expr,
+        rhs: Expr,
+    ) -> Result<Expr, Expr> {
+        if !self.fold_fits(start, height, &lhs, &[&rhs]) {
+            return Err(lhs);
+        }
+        Ok(Expr::Binary {
+            op,
+            lhs: Box::new(lhs),
+            rhs: Box::new(rhs),
+        })
     }
 
     fn parse_relational(&mut self) -> Expr {
@@ -876,7 +1014,9 @@ impl<'src> Parser<'src, '_> {
     }
 
     fn parse_adding(&mut self) -> Expr {
+        let start = self.pos;
         let mut lhs = self.parse_term();
+        let mut height = None;
         loop {
             let op = match self.peek().kind {
                 TokenKind::Punct(Punct::Plus) => BinOp::Add,
@@ -886,16 +1026,17 @@ impl<'src> Parser<'src, '_> {
             };
             self.bump();
             let rhs = self.parse_term();
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
+            lhs = match self.fold(start, &mut height, op, lhs, rhs) {
+                Ok(folded) => folded,
+                Err(lhs) => return lhs,
             };
         }
     }
 
     fn parse_term(&mut self) -> Expr {
+        let start = self.pos;
         let mut lhs = self.parse_factor();
+        let mut height = None;
         loop {
             let op = match self.peek().kind {
                 TokenKind::Punct(Punct::Star) => BinOp::Mul,
@@ -906,37 +1047,33 @@ impl<'src> Parser<'src, '_> {
             };
             self.bump();
             let rhs = self.parse_factor();
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
+            lhs = match self.fold(start, &mut height, op, lhs, rhs) {
+                Ok(folded) => folded,
+                Err(lhs) => return lhs,
             };
         }
     }
 
     fn parse_factor(&mut self) -> Expr {
-        if self.eat_kw(Kw::Not) {
-            let operand = self.parse_factor();
-            return Expr::Unary {
-                op: UnOp::Not,
-                operand: Box::new(operand),
-            };
+        let op = if self.check_kw(Kw::Not) {
+            UnOp::Not
+        } else if self.check(Punct::Minus) {
+            UnOp::Negate
+        } else if self.check(Punct::Plus) {
+            UnOp::Plus
+        } else {
+            return self.parse_primary();
+        };
+        let span = self.bump().span;
+        if !self.enter() {
+            return Expr::Int { value: 0, span };
         }
-        if self.eat(Punct::Minus) {
-            let operand = self.parse_factor();
-            return Expr::Unary {
-                op: UnOp::Negate,
-                operand: Box::new(operand),
-            };
+        let operand = self.parse_factor();
+        self.leave();
+        Expr::Unary {
+            op,
+            operand: Box::new(operand),
         }
-        if self.eat(Punct::Plus) {
-            let operand = self.parse_factor();
-            return Expr::Unary {
-                op: UnOp::Plus,
-                operand: Box::new(operand),
-            };
-        }
-        self.parse_primary()
     }
 
     fn parse_primary(&mut self) -> Expr {
@@ -1078,6 +1215,28 @@ impl<'src> Parser<'src, '_> {
                 None
             }
         }
+    }
+}
+
+/// The height of an expression tree; a leaf is 1. Only called on trees
+/// the parser built within [`MAX_NESTING`], so the recursion is bounded.
+fn expr_height(expr: &Expr) -> u32 {
+    let max = |exprs: &[&Expr]| exprs.iter().map(|e| expr_height(e)).max().unwrap_or(0);
+    1 + match expr {
+        Expr::Int { .. }
+        | Expr::CharLit { .. }
+        | Expr::BitString { .. }
+        | Expr::HexString { .. }
+        | Expr::StrLit { .. }
+        | Expr::Bool { .. }
+        | Expr::Ident { .. }
+        | Expr::Attr { .. } => 0,
+        Expr::Call { args, .. } => args.iter().map(expr_height).max().unwrap_or(0),
+        Expr::Slice { left, right, .. } => max(&[left, right]),
+        Expr::Unary { operand, .. } => expr_height(operand),
+        Expr::Binary { lhs, rhs, .. } => max(&[lhs, rhs]),
+        Expr::Aggregate { fill, .. } => expr_height(fill),
+        Expr::When { value, cond, els } => max(&[value, cond, els]),
     }
 }
 

@@ -146,3 +146,46 @@ fn corrupted_rtl_never_scores_functional() {
         "caught only {caught}/{total}"
     );
 }
+
+/// `aivril simulate` prints the log the agents read: the same bytes as
+/// `ToolSuite::simulate`, including the line saying how the run ended,
+/// in both languages.
+#[test]
+fn cli_simulate_prints_the_tool_suite_log() {
+    use aivril_eda::{HdlFile, ToolSuite};
+    let dir = std::env::temp_dir().join(format!("aivril-cli-log-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let problem = aivril_verilogeval::suite()
+        .into_iter()
+        .find(|p| p.name == "prob002_xor2")
+        .expect("suite problem");
+    for verilog in [true, false] {
+        let golden = problem.golden(verilog);
+        let ext = if verilog { "v" } else { "vhd" };
+        let mut files = Vec::new();
+        for (name, text) in [("dut", &golden.dut), ("tb", &golden.tb)] {
+            let path = dir.join(format!("{name}.{ext}"));
+            std::fs::write(&path, text).expect("write source");
+            files.push(HdlFile::new(path.to_string_lossy(), text.as_str()));
+        }
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_aivril"))
+            .arg("simulate")
+            .args(files.iter().map(|f| &f.name))
+            .args(["--top", "tb"])
+            .output()
+            .expect("run aivril");
+        let expected = XsimToolSuite::new().simulate(&files, Some("tb"));
+        assert!(expected.passed, "{}", expected.log);
+        assert!(
+            expected.log.contains("INFO: [xsim] $finish called at time")
+                || expected
+                    .log
+                    .contains("INFO: [xsim] simulation stopped (event starvation)"),
+            "{}",
+            expected.log
+        );
+        assert_eq!(String::from_utf8_lossy(&out.stdout), expected.log, "{ext}");
+        assert_eq!(out.status.code(), Some(0));
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

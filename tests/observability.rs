@@ -7,8 +7,10 @@
 //! `Eq` snapshot), never an epsilon: the contract under test is that
 //! worker count changes *nothing*, including summation order.
 
-use aivril_bench::{Flow, Harness, HarnessConfig, Telemetry};
-use aivril_llm::profiles;
+use aivril_bench::{run_seed, Flow, Harness, HarnessConfig, Telemetry};
+use aivril_core::{Aivril2, Aivril2Config, TaskInput};
+use aivril_eda::{CompileReport, HdlFile, SimReport, ToolSuite, XsimToolSuite};
+use aivril_llm::{profiles, SimLlm};
 use aivril_obs::{chrome_trace, render_journal, MetricValue, Recorder, JOURNAL_VERSION};
 
 fn harness(threads: usize, recorder: Recorder) -> Harness {
@@ -215,4 +217,75 @@ fn telemetry_from_vars_switches() {
     let trace =
         Telemetry::from_vars(|k| (k == "AIVRIL_TRACE_JSON").then(|| "/tmp/x.jsonl".to_string()));
     assert!(trace.is_enabled(), "trace path enables the recorder");
+}
+
+/// Forwards the three required tool calls and keeps the trait's
+/// snapshot defaults, as a timing or capturing wrapper does: every
+/// simulate compiles afresh.
+struct DefaultsOnly<'a>(&'a XsimToolSuite);
+
+impl ToolSuite for DefaultsOnly<'_> {
+    fn analyze(&self, files: &[HdlFile]) -> CompileReport {
+        self.0.analyze(files)
+    }
+
+    fn compile(&self, files: &[HdlFile]) -> CompileReport {
+        self.0.compile(files)
+    }
+
+    fn simulate(&self, files: &[HdlFile], top: Option<&str>) -> SimReport {
+        self.0.simulate(files, top)
+    }
+}
+
+/// Runs an AIVRIL2 grid (3 models x 2 languages x 6 tasks x 2 samples)
+/// straight through the flow, on `XsimToolSuite` itself or through the
+/// defaults-only wrapper, and returns the journal, the metrics dump and
+/// every run's outcome.
+fn aivril2_grid(through_defaults: bool) -> (String, String, Vec<String>) {
+    let rec = Recorder::new();
+    let tools = XsimToolSuite::new().with_recorder(rec.clone());
+    let wrapper = DefaultsOnly(&tools);
+    let suite: &dyn ToolSuite = if through_defaults { &wrapper } else { &tools };
+    let h = harness(1, Recorder::default());
+    let library = h.library();
+    let mut outcomes = Vec::new();
+    for profile in profiles::all() {
+        for verilog in [true, false] {
+            for (index, problem) in h.problems().iter().take(6).enumerate() {
+                for sample in 0..2 {
+                    let task = TaskInput {
+                        name: problem.name.clone(),
+                        module_name: problem.module_name.clone(),
+                        spec: problem.spec.clone(),
+                        verilog,
+                        seed: run_seed(index, sample),
+                    };
+                    let mut model = SimLlm::new(profile.clone(), library.clone());
+                    let result = Aivril2::new(suite, Aivril2Config::default())
+                        .with_recorder(rec.clone())
+                        .run(&mut model, &task);
+                    outcomes.push(format!(
+                        "{:?} {} {} {:?}",
+                        result.final_rtl, result.syntax_pass, result.functional_pass, result.trace
+                    ));
+                }
+            }
+        }
+    }
+    (render_journal(&rec), rec.metrics().render(), outcomes)
+}
+
+/// Reusing the compiled design in the functional loop changes no
+/// journal line, metric or outcome: a grid driven through
+/// `XsimToolSuite`'s snapshots equals one driven through a wrapper that
+/// only has the trait defaults (perfbench's traced pass is one).
+#[test]
+fn snapshot_reuse_matches_the_trait_defaults() {
+    let (journal, metrics, outcomes) = aivril2_grid(false);
+    let (default_journal, default_metrics, default_outcomes) = aivril2_grid(true);
+    assert!(journal.lines().count() > 100, "the grid must be traced");
+    assert_eq!(journal, default_journal);
+    assert_eq!(metrics, default_metrics);
+    assert_eq!(outcomes, default_outcomes);
 }

@@ -126,3 +126,35 @@ fn model_ordering_holds_everywhere() {
         "ordering violated: {f_rates:?}"
     );
 }
+
+/// Pins the exact canonical output of a small `table1` grid (12 tasks x
+/// 1 sample, every model, language and flow), so any drift in the
+/// pipeline's results fails `cargo test` instead of surfacing later as
+/// stale `results/*.txt`. After an intentional behaviour change,
+/// regenerate with `BLESS=1 cargo test -p aivril-bench --test
+/// paper_shape`, review the diff, and regenerate `results/` too.
+#[test]
+fn small_canonical_table1_is_pinned() {
+    let golden = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/golden/table1_canonical_small.txt"
+    );
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_table1"))
+        .env_clear()
+        .env("AIVRIL_CANONICAL", "1")
+        .env("AIVRIL_TASKS", "12")
+        .env("AIVRIL_SAMPLES", "1")
+        .env("AIVRIL_THREADS", "2")
+        .output()
+        .expect("run table1");
+    assert!(out.status.success());
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 output");
+    if std::env::var_os("BLESS").is_some() {
+        std::fs::write(golden, &stdout).expect("write golden");
+    }
+    let expected = std::fs::read_to_string(golden).expect("golden file exists");
+    assert_eq!(
+        stdout, expected,
+        "table1 output drifted from {golden}; if intentional, regenerate with BLESS=1"
+    );
+}
