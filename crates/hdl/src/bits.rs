@@ -1,21 +1,22 @@
-//! Borrowed bit-plane views and reusable four-state scratch buffers.
+//! The four-state operator kernel: borrowed bit-plane views and
+//! reusable scratch buffers.
 //!
-//! [`LogicVec`](crate::vec::LogicVec) owns its `(aval, bval)` planes and
-//! spills to the heap above 64 bits. The evaluation hot path wants
-//! neither ownership nor spilling: a compiled expression's slot widths
-//! are known at lowering time, so the simulator sizes a scratch arena
-//! once and executes every operation in place against borrowed plane
-//! slices. This module provides the two pieces of that discipline:
+//! This is the codebase's only implementation of the IEEE 1364 operator
+//! semantics. The simulator's compiled bytecode runs it in place over a
+//! pre-sized arena, and every [`LogicVec`] operator is a thin wrapper
+//! that loads a [`ScratchBuf`], applies one in-place operation and
+//! converts back. The module provides:
 //!
 //! * [`BitsRef`] — a cheap read-only view of `(width, aval, bval)`
-//!   planes, usable over both `LogicVec` storage and scratch storage;
+//!   planes, usable over both `LogicVec` storage and scratch storage,
+//!   carrying the read-only operators (predicates, reductions,
+//!   comparisons);
 //! * [`ScratchBuf`] — an owned, capacity-retaining plane pair with
 //!   in-place word-parallel four-state operations (`dst = dst op rhs`).
 //!
-//! All operations process 64 lanes per word over the packed planes and
-//! follow the exact IEEE 1364 semantics of their `LogicVec`
-//! counterparts; `crates/hdl/tests/logicvec_diff.rs` pins the two
-//! implementations against a scalar per-bit oracle.
+//! All operations process 64 lanes per word over the packed planes;
+//! `crates/hdl/tests/logicvec_diff.rs` pins them against a scalar
+//! per-bit oracle.
 //!
 //! # Invariant
 //!
@@ -190,7 +191,8 @@ impl<'a> BitsRef<'a> {
         word_mask_for(self.width, i)
     }
 
-    /// Reduction AND over all bits (same fold as `LogicVec::reduce_and`).
+    /// Reduction AND over all bits: `0` if any bit is a known zero, else
+    /// `X` if any bit is unknown, else `1`.
     #[must_use]
     pub fn reduce_and(self) -> Logic {
         let mut unknown = false;
@@ -270,10 +272,24 @@ impl<'a> BitsRef<'a> {
         }
         Some(Ordering::Equal)
     }
+
+    /// Unsigned less-than (`<`): `X` on unknown operands.
+    #[must_use]
+    pub fn lt(self, rhs: BitsRef<'_>) -> Logic {
+        self.value_cmp(rhs)
+            .map_or(Logic::X, |ord| Logic::from_bool(ord == Ordering::Less))
+    }
+
+    /// Unsigned less-or-equal (`<=`): `X` on unknown operands.
+    #[must_use]
+    pub fn le(self, rhs: BitsRef<'_>) -> Logic {
+        self.value_cmp(rhs)
+            .map_or(Logic::X, |ord| Logic::from_bool(ord != Ordering::Greater))
+    }
 }
 
 /// Valid-bit mask for word `i` of a `width`-bit vector's planes.
-fn word_mask_for(width: u32, i: usize) -> u64 {
+pub(crate) fn word_mask_for(width: u32, i: usize) -> u64 {
     let rem = width % 64;
     if rem != 0 && i == words_for(width) - 1 {
         (1u64 << rem) - 1
@@ -482,8 +498,8 @@ impl ScratchBuf {
     }
 
     /// `self = self - rhs` (two's-complement wraparound), all-X on any
-    /// unknown operand bit. Mirrors `LogicVec::sub`'s `a + !b + 1`
-    /// formulation so the borrow chain wraps identically.
+    /// unknown operand bit. Computed as `a + !b + 1` over the common
+    /// width, so the borrow chain wraps like two's complement.
     pub fn sub_assign(&mut self, rhs: BitsRef<'_>) {
         let width = self.width.max(rhs.width());
         if self.as_bits().has_unknown() || rhs.has_unknown() {
@@ -529,8 +545,8 @@ impl ScratchBuf {
         self.mask_top();
     }
 
-    /// `self = self * rhs` (low 64 bits, like `LogicVec::mul`), all-X on
-    /// unknown operands.
+    /// `self = self * rhs` at the max operand width, all-X on unknown
+    /// operands. Only the low word of each operand takes part.
     pub fn mul_assign(&mut self, rhs: BitsRef<'_>) {
         let width = self.width.max(rhs.width());
         if self.as_bits().has_unknown() || rhs.has_unknown() {

@@ -6,6 +6,14 @@
 //! per bit, while arithmetic and relational operators degrade to all-`X`
 //! as soon as any operand bit is unknown.
 //!
+//! This module owns the *representation*: construction, bit and slice
+//! access, resizing, in-place assignment from a [`BitsRef`], and
+//! rendering. It holds no operator logic. Every four-state operator
+//! (`and` … `replicate`, the reductions and the comparisons) is a
+//! one-line call into the [`crate::bits`] kernel, the same code the
+//! simulator's bytecode runs, so there is exactly one implementation of
+//! each operator's semantics.
+//!
 //! # Representation
 //!
 //! The planes use a small-value representation: vectors of 64 bits or
@@ -14,11 +22,11 @@
 //! suite), spilling to heap-allocated `Vec<u64>` planes only for wider
 //! vectors. The representation is canonical — a given width always uses
 //! the same variant — so structural equality and hashing are unaffected.
-//! Every operation additionally has a word-level fast path for the
-//! one-word case, and the multi-word paths operate on whole words with
-//! implicit zero-extension rather than materialising resized copies.
+//! Inline storage keeps narrow nets and constants off the heap on the
+//! compile path. The operator wrappers do allocate (they stage through a
+//! [`ScratchBuf`]); no production code calls them.
 
-use crate::bits::{self, extract_word, low_mask, or_shifted, word_at, words_for, BitsRef};
+use crate::bits::{extract_word, low_mask, word_mask_for, words_for, BitsRef, ScratchBuf};
 use crate::logic::Logic;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -215,7 +223,7 @@ impl LogicVec {
     #[must_use]
     pub fn equals_bits(&self, bits: BitsRef<'_>) -> bool {
         for i in 0..self.aval.len() {
-            let m = self.word_mask(i);
+            let m = word_mask_for(self.width, i);
             let (a, b) = bits.word(i);
             if self.aval[i] != a & m || self.bval[i] != b & m {
                 return false;
@@ -295,7 +303,7 @@ impl LogicVec {
     /// `true` if any bit is `X` or `Z`.
     #[must_use]
     pub fn has_unknown(&self) -> bool {
-        self.bval.iter().any(|&w| w != 0)
+        self.as_bits().has_unknown()
     }
 
     /// Interprets the vector as an unsigned integer.
@@ -304,13 +312,7 @@ impl LogicVec {
     /// with non-zero high bits.
     #[must_use]
     pub fn to_u64(&self) -> Option<u64> {
-        if self.has_unknown() {
-            return None;
-        }
-        if self.aval.iter().skip(1).any(|&w| w != 0) {
-            return None;
-        }
-        Some(self.aval[0])
+        self.as_bits().to_u64()
     }
 
     /// Truthiness in a Verilog `if`: `Some(true)` when any bit is `1`,
@@ -318,18 +320,7 @@ impl LogicVec {
     /// on unknown bits.
     #[must_use]
     pub fn to_bool(&self) -> Option<bool> {
-        let any_one = self
-            .aval
-            .iter()
-            .zip(&*self.bval)
-            .any(|(&a, &b)| a & !b != 0);
-        if any_one {
-            return Some(true);
-        }
-        if self.has_unknown() {
-            return None;
-        }
-        Some(false)
+        self.as_bits().to_bool()
     }
 
     /// Iterates over bits from LSB to MSB.
@@ -347,16 +338,6 @@ impl LogicVec {
         }
     }
 
-    /// Valid-bit mask for word `i` of this vector's planes.
-    fn word_mask(&self, i: usize) -> u64 {
-        let rem = self.width % 64;
-        if rem != 0 && i == words_for(self.width) - 1 {
-            (1u64 << rem) - 1
-        } else {
-            u64::MAX
-        }
-    }
-
     /// Zero-extends or truncates to `width` bits.
     #[must_use]
     pub fn resize(&self, width: u32) -> LogicVec {
@@ -371,343 +352,156 @@ impl LogicVec {
         out
     }
 
-    /// Bitwise AND with Verilog four-state resolution, computed
-    /// word-parallel over the (aval, bval) planes:
-    /// a bit is known-0 iff `!a & !b`; the result is 0 where either
+    /// Runs one in-place [`ScratchBuf`] kernel on a copy of `self` and
+    /// returns the result as a canonical vector.
+    fn apply(&self, op: impl FnOnce(&mut ScratchBuf)) -> LogicVec {
+        let mut buf = ScratchBuf::new();
+        buf.load(self.as_bits());
+        op(&mut buf);
+        buf.to_logic_vec()
+    }
+
+    /// Bitwise AND with Verilog four-state resolution: 0 where either
     /// operand is known-0, 1 where both are known-1, X otherwise.
     #[must_use]
     pub fn and(&self, rhs: &LogicVec) -> LogicVec {
-        self.word_bitwise(rhs, bits::and_words)
+        self.apply(|v| v.and_assign(rhs.as_bits()))
     }
 
-    /// Bitwise OR with Verilog four-state resolution (word-parallel):
-    /// 1 where either operand is known-1, 0 where both are known-0, X
-    /// otherwise.
+    /// Bitwise OR with Verilog four-state resolution: 1 where either
+    /// operand is known-1, 0 where both are known-0, X otherwise.
     #[must_use]
     pub fn or(&self, rhs: &LogicVec) -> LogicVec {
-        self.word_bitwise(rhs, bits::or_words)
+        self.apply(|v| v.or_assign(rhs.as_bits()))
     }
 
-    /// Bitwise XOR with Verilog four-state resolution (word-parallel):
-    /// X wherever either operand is unknown, else the plain XOR.
+    /// Bitwise XOR with Verilog four-state resolution: X wherever either
+    /// operand is unknown, else the plain XOR.
     #[must_use]
     pub fn xor(&self, rhs: &LogicVec) -> LogicVec {
-        self.word_bitwise(rhs, bits::xor_words)
+        self.apply(|v| v.xor_assign(rhs.as_bits()))
     }
 
-    /// Bitwise XNOR with Verilog four-state resolution (word-parallel).
+    /// Bitwise XNOR with Verilog four-state resolution.
     #[must_use]
     pub fn xnor(&self, rhs: &LogicVec) -> LogicVec {
-        self.word_bitwise(rhs, bits::xnor_words)
+        self.apply(|v| v.xnor_assign(rhs.as_bits()))
     }
 
-    /// Word-parallel bitwise combinator: `f` receives one 64-bit word of
-    /// each operand's (aval, bval) planes (zero-extended to the common
-    /// width) and returns the result word's planes.
-    fn word_bitwise(
-        &self,
-        rhs: &LogicVec,
-        f: impl Fn(u64, u64, u64, u64) -> (u64, u64),
-    ) -> LogicVec {
-        let width = self.width.max(rhs.width);
-        if width <= 64 {
-            let (av, bv) = f(self.aval[0], self.bval[0], rhs.aval[0], rhs.bval[0]);
-            return LogicVec::inline(width, av, bv);
-        }
-        let mut out = LogicVec::zeros(width);
-        for i in 0..out.aval.len() {
-            let (av, bv) = f(
-                word_at(&self.aval, i),
-                word_at(&self.bval, i),
-                word_at(&rhs.aval, i),
-                word_at(&rhs.bval, i),
-            );
-            out.aval[i] = av;
-            out.bval[i] = bv;
-        }
-        out.mask_top();
-        out
-    }
-
-    /// Bitwise NOT with four-state resolution (word-parallel): known
-    /// bits invert; X/Z become X.
+    /// Bitwise NOT with four-state resolution: known bits invert; X/Z
+    /// become X.
     #[must_use]
     pub fn not(&self) -> LogicVec {
-        let mut out = LogicVec::zeros(self.width);
-        for i in 0..self.aval.len() {
-            let unk = self.bval[i];
-            out.aval[i] = !self.aval[i] | unk;
-            out.bval[i] = unk;
-        }
-        out.mask_top();
-        out
+        self.apply(ScratchBuf::not_self)
     }
 
     /// Reduction AND over all bits: `0` if any bit is a known zero, else
-    /// `X` if any bit is unknown, else `1` (word-parallel; matches the
-    /// per-bit [`Logic::and`] fold because AND is monotone and
-    /// commutative).
+    /// `X` if any bit is unknown, else `1`.
     #[must_use]
     pub fn reduce_and(&self) -> Logic {
-        let mut unknown = false;
-        for (i, (&a, &b)) in self.aval.iter().zip(&*self.bval).enumerate() {
-            if !a & !b & self.word_mask(i) != 0 {
-                return Logic::Zero;
-            }
-            unknown |= b != 0;
-        }
-        if unknown {
-            Logic::X
-        } else {
-            Logic::One
-        }
+        self.as_bits().reduce_and()
     }
 
     /// Reduction OR over all bits: `1` if any bit is a known one, else
-    /// `X` if any bit is unknown, else `0` (word-parallel).
+    /// `X` if any bit is unknown, else `0`.
     #[must_use]
     pub fn reduce_or(&self) -> Logic {
-        let mut unknown = false;
-        for (&a, &b) in self.aval.iter().zip(&*self.bval) {
-            if a & !b != 0 {
-                return Logic::One;
-            }
-            unknown |= b != 0;
-        }
-        if unknown {
-            Logic::X
-        } else {
-            Logic::Zero
-        }
+        self.as_bits().reduce_or()
     }
 
-    /// Reduction XOR over all bits (parity): `X` if any bit is unknown,
-    /// else the popcount parity (word-parallel).
+    /// Reduction XOR over all bits (parity): `X` if any bit is unknown.
     #[must_use]
     pub fn reduce_xor(&self) -> Logic {
-        if self.has_unknown() {
-            return Logic::X;
-        }
-        let ones: u32 = self.aval.iter().map(|w| w.count_ones()).sum();
-        Logic::from_bool(ones % 2 == 1)
-    }
-
-    /// Word-level arithmetic helper, exact for results that fit in the low
-    /// 64 bits (multiplication of wider values keeps only the low word, the
-    /// same truncation Verilog applies at the result width).
-    fn binary_arith(&self, rhs: &LogicVec, width: u32, op: impl Fn(u64, u64) -> u64) -> LogicVec {
-        if self.has_unknown() || rhs.has_unknown() {
-            return LogicVec::xes(width);
-        }
-        let low = op(self.aval[0], rhs.aval[0]);
-        if width <= 64 {
-            return LogicVec::inline(width, low, 0);
-        }
-        let mut out = LogicVec::zeros(width);
-        out.aval[0] = low;
-        out
+        self.as_bits().reduce_xor()
     }
 
     /// Addition with Verilog X-propagation: any unknown operand bit makes
     /// the whole result `X`. Result width is the max operand width.
     #[must_use]
     pub fn add(&self, rhs: &LogicVec) -> LogicVec {
-        let width = self.width.max(rhs.width);
-        if self.has_unknown() || rhs.has_unknown() {
-            return LogicVec::xes(width);
-        }
-        if width <= 64 {
-            return LogicVec::inline(width, self.aval[0].wrapping_add(rhs.aval[0]), 0);
-        }
-        let mut out = LogicVec::zeros(width);
-        let mut carry = 0u128;
-        for i in 0..out.aval.len() {
-            let sum = word_at(&self.aval, i) as u128 + word_at(&rhs.aval, i) as u128 + carry;
-            out.aval[i] = sum as u64;
-            carry = sum >> 64;
-        }
-        out.mask_top();
-        out
+        self.apply(|v| v.add_assign(rhs.as_bits()))
     }
 
     /// Subtraction (two's complement wraparound) with X-propagation.
     #[must_use]
     pub fn sub(&self, rhs: &LogicVec) -> LogicVec {
-        let width = self.width.max(rhs.width);
-        if self.has_unknown() || rhs.has_unknown() {
-            return LogicVec::xes(width);
-        }
-        if width <= 64 {
-            return LogicVec::inline(width, self.aval[0].wrapping_sub(rhs.aval[0]), 0);
-        }
-        // a - b == a + (!b + 1) over the common width; `!b` is computed
-        // per word against that width's masks, so the borrow chain wraps
-        // exactly like the two's-complement path it replaces.
-        let mut out = LogicVec::zeros(width);
-        let last = out.aval.len() - 1;
-        let mut carry = 1u128;
-        for i in 0..out.aval.len() {
-            let m = if i == last {
-                low_mask(((width - 1) % 64) + 1)
-            } else {
-                u64::MAX
-            };
-            let sum = word_at(&self.aval, i) as u128 + (!word_at(&rhs.aval, i) & m) as u128 + carry;
-            out.aval[i] = sum as u64;
-            carry = sum >> 64;
-        }
-        out.mask_top();
-        out
+        self.apply(|v| v.sub_assign(rhs.as_bits()))
     }
 
     /// Two's-complement negation with X-propagation.
     #[must_use]
     pub fn negate(&self) -> LogicVec {
-        if self.has_unknown() {
-            return LogicVec::xes(self.width);
-        }
-        if self.width <= 64 {
-            return LogicVec::inline(self.width, self.aval[0].wrapping_neg(), 0);
-        }
-        LogicVec::zeros(self.width).sub(self)
+        self.apply(ScratchBuf::neg_self)
     }
 
-    /// Multiplication (low bits) with X-propagation.
+    /// Multiplication with X-propagation. Only the low 64 bits of each
+    /// operand take part, so wider products keep just their low word.
     #[must_use]
     pub fn mul(&self, rhs: &LogicVec) -> LogicVec {
-        let width = self.width.max(rhs.width);
-        self.binary_arith(rhs, width, u64::wrapping_mul)
+        self.apply(|v| v.mul_assign(rhs.as_bits()))
     }
 
     /// Division; division by zero or unknown operands yield all-`X`,
     /// matching IEEE 1364.
     #[must_use]
     pub fn div(&self, rhs: &LogicVec) -> LogicVec {
-        let width = self.width.max(rhs.width);
-        match (self.to_u64(), rhs.to_u64()) {
-            (Some(a), Some(b)) if b != 0 => LogicVec::from_u64(width, a / b),
-            _ => LogicVec::xes(width),
-        }
+        self.apply(|v| v.div_assign(rhs.as_bits()))
     }
 
     /// Remainder; modulo zero or unknown operands yield all-`X`.
     #[must_use]
     pub fn rem(&self, rhs: &LogicVec) -> LogicVec {
-        let width = self.width.max(rhs.width);
-        match (self.to_u64(), rhs.to_u64()) {
-            (Some(a), Some(b)) if b != 0 => LogicVec::from_u64(width, a % b),
-            _ => LogicVec::xes(width),
-        }
+        self.apply(|v| v.rem_assign(rhs.as_bits()))
     }
 
     /// Logical shift left; an unknown shift amount yields all-`X`.
     #[must_use]
     pub fn shl(&self, amount: &LogicVec) -> LogicVec {
-        match amount.to_u64() {
-            Some(n) => self.shift_left_const(n as u32),
-            None => LogicVec::xes(self.width),
-        }
+        self.apply(|v| v.shl_assign(amount.as_bits()))
     }
 
     /// Logical shift right; an unknown shift amount yields all-`X`.
     #[must_use]
     pub fn shr(&self, amount: &LogicVec) -> LogicVec {
-        match amount.to_u64() {
-            Some(n) => self.shift_right_const(n as u32),
-            None => LogicVec::xes(self.width),
-        }
+        self.apply(|v| v.shr_assign(amount.as_bits()))
     }
 
     /// Shift left by a constant amount, filling with zeros.
     #[must_use]
     pub fn shift_left_const(&self, n: u32) -> LogicVec {
-        if n >= self.width {
-            return LogicVec::zeros(self.width);
-        }
-        if self.width <= 64 {
-            return LogicVec::inline(self.width, self.aval[0] << n, self.bval[0] << n);
-        }
-        let mut out = LogicVec::zeros(self.width);
-        let (ws, bs) = ((n / 64) as usize, n % 64);
-        for i in ws..out.aval.len() {
-            let lo_a = self.aval[i - ws] << bs;
-            let lo_b = self.bval[i - ws] << bs;
-            let (hi_a, hi_b) = if bs > 0 && i > ws {
-                (
-                    self.aval[i - ws - 1] >> (64 - bs),
-                    self.bval[i - ws - 1] >> (64 - bs),
-                )
-            } else {
-                (0, 0)
-            };
-            out.aval[i] = lo_a | hi_a;
-            out.bval[i] = lo_b | hi_b;
-        }
-        out.mask_top();
-        out
+        self.apply(|v| v.shl_assign_const(n))
     }
 
     /// Shift right by a constant amount, filling with zeros.
     #[must_use]
     pub fn shift_right_const(&self, n: u32) -> LogicVec {
-        if n >= self.width {
-            return LogicVec::zeros(self.width);
-        }
-        if self.width <= 64 {
-            return LogicVec::inline(self.width, self.aval[0] >> n, self.bval[0] >> n);
-        }
-        let mut out = LogicVec::zeros(self.width);
-        for i in 0..out.aval.len() {
-            let bit = n + 64 * i as u32;
-            out.aval[i] = extract_word(&self.aval, bit);
-            out.bval[i] = extract_word(&self.bval, bit);
-        }
-        out.mask_top();
-        out
+        self.apply(|v| v.shr_assign_const(n))
     }
 
     /// Logical equality (`==`): returns `X` if either operand has unknown
     /// bits, else `0`/`1`.
     #[must_use]
     pub fn logic_eq(&self, rhs: &LogicVec) -> Logic {
-        if self.has_unknown() || rhs.has_unknown() {
-            return Logic::X;
-        }
-        Logic::from_bool(self.known_equal(rhs))
+        self.as_bits().logic_eq(rhs.as_bits())
     }
 
     /// Case equality (`===`): exact four-state comparison, always `0`/`1`
     /// (the shorter operand zero-extends, like the per-bit definition).
     #[must_use]
     pub fn case_eq(&self, rhs: &LogicVec) -> bool {
-        let n = self.aval.len().max(rhs.aval.len());
-        (0..n).all(|i| {
-            word_at(&self.aval, i) == word_at(&rhs.aval, i)
-                && word_at(&self.bval, i) == word_at(&rhs.bval, i)
-        })
-    }
-
-    fn known_equal(&self, rhs: &LogicVec) -> bool {
-        let n = self.aval.len().max(rhs.aval.len());
-        (0..n).all(|i| word_at(&self.aval, i) == word_at(&rhs.aval, i))
+        self.as_bits().case_eq(rhs.as_bits())
     }
 
     /// Unsigned less-than: `X` on unknown operands.
     #[must_use]
     pub fn lt(&self, rhs: &LogicVec) -> Logic {
-        match self.value_cmp(rhs) {
-            Some(ord) => Logic::from_bool(ord == std::cmp::Ordering::Less),
-            None => Logic::X,
-        }
+        self.as_bits().lt(rhs.as_bits())
     }
 
     /// Unsigned less-or-equal: `X` on unknown operands.
     #[must_use]
     pub fn le(&self, rhs: &LogicVec) -> Logic {
-        match self.value_cmp(rhs) {
-            Some(ord) => Logic::from_bool(ord != std::cmp::Ordering::Greater),
-            None => Logic::X,
-        }
+        self.as_bits().le(rhs.as_bits())
     }
 
     /// Unsigned greater-than: `X` on unknown operands.
@@ -725,37 +519,14 @@ impl LogicVec {
     /// Unsigned value comparison; `None` when unknown bits are present.
     #[must_use]
     pub fn value_cmp(&self, rhs: &LogicVec) -> Option<std::cmp::Ordering> {
-        if self.has_unknown() || rhs.has_unknown() {
-            return None;
-        }
-        let n = self.aval.len().max(rhs.aval.len());
-        for i in (0..n).rev() {
-            match word_at(&self.aval, i).cmp(&word_at(&rhs.aval, i)) {
-                std::cmp::Ordering::Equal => continue,
-                ord => return Some(ord),
-            }
-        }
-        Some(std::cmp::Ordering::Equal)
+        self.as_bits().value_cmp(rhs.as_bits())
     }
 
     /// Concatenates `{self, low}` — `self` supplies the high bits, as in
     /// the Verilog concatenation `{a, b}` where `a` is written first.
     #[must_use]
     pub fn concat(&self, low: &LogicVec) -> LogicVec {
-        let width = self.width + low.width;
-        if width <= 64 {
-            return LogicVec::inline(
-                width,
-                self.aval[0] << low.width | low.aval[0],
-                self.bval[0] << low.width | low.bval[0],
-            );
-        }
-        let mut out = LogicVec::zeros(width);
-        or_shifted(&mut out.aval, &low.aval, 0);
-        or_shifted(&mut out.bval, &low.bval, 0);
-        or_shifted(&mut out.aval, &self.aval, low.width);
-        or_shifted(&mut out.bval, &self.bval, low.width);
-        out
+        self.apply(|v| v.concat_low(low.as_bits()))
     }
 
     /// Replicates the vector `count` times, as in `{count{v}}`.
@@ -766,11 +537,7 @@ impl LogicVec {
     #[must_use]
     pub fn replicate(&self, count: u32) -> LogicVec {
         assert!(count > 0, "replication count must be non-zero");
-        let mut out = self.clone();
-        for _ in 1..count {
-            out = out.concat(self);
-        }
-        out
+        self.apply(|v| v.replicate_self(count, &mut ScratchBuf::new()))
     }
 
     /// Extracts bits `[msb:lsb]` (inclusive, LSB-0 indexing).
@@ -885,20 +652,39 @@ impl LogicVec {
         s
     }
 
-    /// Renders as decimal, or `x`/`z` when unknown bits are present.
+    /// Renders as unsigned decimal at any width, or as `z` when every
+    /// bit is `Z` and `x` when any other unknown bit is present.
     #[must_use]
     pub fn to_decimal_string(&self) -> String {
         match self.to_u64() {
             Some(v) => v.to_string(),
-            None => {
-                if self.iter().all(|b| b == Logic::Z) {
-                    "z".to_string()
-                } else {
-                    "x".to_string()
-                }
-            }
+            None if !self.has_unknown() => decimal_digits(&self.aval),
+            None if self.iter().all(|b| b == Logic::Z) => "z".to_string(),
+            None => "x".to_string(),
         }
     }
+}
+
+/// The unsigned value of little-endian `words` in decimal: repeated long
+/// division by 10^19, the largest power of ten that fits in a word.
+fn decimal_digits(words: &[u64]) -> String {
+    const CHUNK: u128 = 10_000_000_000_000_000_000;
+    let mut rest = words.to_vec();
+    let mut chunks = Vec::new();
+    while rest.iter().any(|&w| w != 0) {
+        let mut rem = 0u128;
+        for w in rest.iter_mut().rev() {
+            let cur = rem << 64 | u128::from(*w);
+            *w = (cur / CHUNK) as u64;
+            rem = cur % CHUNK;
+        }
+        chunks.push(rem as u64);
+    }
+    let mut out = chunks.pop().unwrap_or(0).to_string();
+    for chunk in chunks.iter().rev() {
+        out.push_str(&format!("{chunk:019}"));
+    }
+    out
 }
 
 impl fmt::Display for LogicVec {

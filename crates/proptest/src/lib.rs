@@ -120,9 +120,14 @@ macro_rules! __proptest_impl {
             let config: $crate::test_runner::ProptestConfig = $config;
             let cases = $crate::test_runner::resolve_cases(config.cases);
             let test_id = concat!(module_path!(), "::", stringify!($name));
+            // Strategies are built once, outside the case loop: building
+            // one never touches the RNG, and recursive strategies are
+            // expensive to build. Each case's `let` shadows the strategy
+            // with the value it generates.
+            $(let $arg = $strategy;)*
             for case in 0..cases {
                 let mut __rng = $crate::test_runner::case_rng(test_id, case);
-                $(let $arg = $crate::strategy::Strategy::generate(&($strategy), &mut __rng);)*
+                $(let $arg = $crate::strategy::Strategy::generate(&$arg, &mut __rng);)*
                 let outcome = (|| -> ::core::result::Result<(), $crate::test_runner::TestCaseError> {
                     $body
                     ::core::result::Result::Ok(())
@@ -182,6 +187,34 @@ mod tests {
         fn config_header_is_accepted(x in 0u32..100) {
             prop_assert!(x < 100);
         }
+    }
+
+    thread_local! {
+        /// Every value the property below was handed, in case order.
+        static SEEN: std::cell::RefCell<Vec<(u32, u64)>> = const { std::cell::RefCell::new(Vec::new()) };
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 5, ..ProptestConfig::default() })]
+        fn records_its_arguments(a in 0u32..1000, b in (0u64..1 << 40).prop_map(|x| x * 3)) {
+            SEEN.with(|seen| seen.borrow_mut().push((a, b)));
+            prop_assert_eq!(b % 3, 0);
+        }
+    }
+
+    #[test]
+    fn property_arguments_are_generated_from_case_rng() {
+        records_its_arguments();
+        let id = concat!(module_path!(), "::records_its_arguments");
+        let expected: Vec<(u32, u64)> = (0..crate::test_runner::resolve_cases(5))
+            .map(|case| {
+                let mut rng = case_rng(id, case);
+                let a = (0u32..1000).generate(&mut rng);
+                let b = (0u64..1 << 40).prop_map(|x| x * 3).generate(&mut rng);
+                (a, b)
+            })
+            .collect();
+        assert_eq!(SEEN.with(|seen| seen.take()), expected);
     }
 
     #[test]

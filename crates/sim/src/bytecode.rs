@@ -1,15 +1,15 @@
 //! Compiled expression evaluation: flat register-machine bytecode.
 //!
-//! The tree walker in [`crate::eval`] allocates nothing *per node*, but
-//! it pays a recursive call, a `match` on a boxed node, and pointer
-//! chasing for every operator on every activation — and the hot loop of
-//! a simulation evaluates the same handful of expressions millions of
-//! times. At [`Simulator::new`](crate::Simulator::new) each process's
-//! expressions are lowered **once** into flat programs: post-order
-//! sequences of [`Op`]s reading and writing numbered scratch slots,
-//! executed by a tight non-recursive loop over a per-simulator
-//! [`ScratchArena`] that is allocated once and reused for every
-//! evaluation. All programs of one simulator share one op buffer
+//! This is the simulator's only evaluator. A tree walk would pay a
+//! recursive call, a `match` on a boxed node, and pointer chasing for
+//! every operator on every activation — and the hot loop of a
+//! simulation evaluates the same handful of expressions millions of
+//! times. At [`Simulator::new`](crate::Simulator::new) each
+//! instruction's expressions are lowered **once** into one flat
+//! program: a post-order sequence of [`Op`]s reading and writing
+//! numbered scratch slots, executed by a tight non-recursive loop over a
+//! per-simulator [`ScratchArena`] that is allocated once and reused for
+//! every evaluation. All programs of one simulator share one op buffer
 //! ([`Programs`]); each is a range of it, so lowering a design costs a
 //! handful of allocations rather than two or three per expression.
 //!
@@ -24,9 +24,9 @@
 //! a bound is ever too small the buffer grows — correct, and *counted*,
 //! so the zero-alloc claim stays honest.
 //!
-//! The tree interpreter stays in the crate as the semantic oracle: the
-//! cold paths (`$display` arguments, `$monitor`, l-value indices) still
-//! run it, and the differential property tests at the bottom of this
+//! The operators themselves live in `aivril_hdl::bits`. The tree walker
+//! in `crate::eval` is compiled for tests only: it is the semantic
+//! oracle, and the differential property tests at the bottom of this
 //! file require bit-for-bit agreement between the two on randomly
 //! generated expression trees. Any divergence is a bug in *this* file —
 //! the tree is the specification.
@@ -35,10 +35,13 @@
 //! slot `dst` and may scribble on any slot `> dst`. Binary operands go
 //! to `dst` / `dst+1`, ternaries to `dst` / `dst+1` / `dst+2`, so the
 //! arena height equals the expression tree's operand depth, not its
-//! size.
+//! size. One instruction's program is its expressions compiled in order,
+//! the `i`-th into slot `i` (see [`Programs::compile_instr`]); since a
+//! later expression only writes slots above the earlier ones, one run
+//! leaves every value in place for the engine to read.
 
 use aivril_hdl::bits::{BitsRef, ScratchBuf};
-use aivril_hdl::ir::{BinaryOp, Expr, NetId, UnaryOp};
+use aivril_hdl::ir::{BinaryOp, Expr, Instr, LValue, NetId, UnaryOp};
 use aivril_hdl::logic::Logic;
 use aivril_hdl::vec::LogicVec;
 use std::ops::Range;
@@ -79,10 +82,9 @@ pub(crate) enum Op {
     EdgeFlag { dst: u32, net: NetId, rising: bool },
 }
 
-/// Every compiled expression of one simulator: all programs' ops back
-/// to back in one buffer, each program a range of it, and one static
-/// width bound per scratch slot across all of them. Executing a
-/// program leaves its result in slot 0.
+/// Every compiled expression of one simulator: each instruction's
+/// program back to back in one op buffer, each a range of it, and one
+/// static width bound per scratch slot across all of them.
 #[derive(Debug, Default)]
 pub(crate) struct Programs {
     ops: Vec<Op>,
@@ -92,14 +94,53 @@ pub(crate) struct Programs {
 }
 
 impl Programs {
-    /// Lowers `expr` against the design's net widths
-    /// (`net_widths[net.0]`) and returns the range of [`ops`](Self::ops)
-    /// holding its program. Called once per expression at simulator
-    /// construction.
-    pub(crate) fn compile(&mut self, expr: &Expr, net_widths: &[u32]) -> Range<u32> {
+    /// Lowers the expressions of `instr` against the design's net widths
+    /// (`net_widths[net.0]`) into one program and returns its range of
+    /// [`ops`](Self::ops). Running it leaves, in slot order:
+    ///
+    /// * an assignment's right-hand side in slot 0, then the index of
+    ///   each `LValue::Index` in its target at slots `1..`, in the order
+    ///   a left-to-right walk of the target meets them;
+    /// * a delay amount or branch condition in slot 0;
+    /// * system-task argument `i` in slot `i`.
+    ///
+    /// Other instructions get an empty program.
+    pub(crate) fn compile_instr(&mut self, instr: &Instr, net_widths: &[u32]) -> Range<u32> {
         let start = self.ops.len() as u32;
-        compile_into(expr, 0, net_widths, self);
+        match instr {
+            Instr::BlockingAssign { lvalue, expr } | Instr::NonblockingAssign { lvalue, expr } => {
+                compile_into(expr, 0, net_widths, self);
+                self.compile_indices(lvalue, 1, net_widths);
+            }
+            Instr::Delay { amount: expr } | Instr::BranchIfFalse { cond: expr, .. } => {
+                compile_into(expr, 0, net_widths, self);
+            }
+            Instr::SysCall { args, .. } => {
+                for (slot, arg) in args.iter().enumerate() {
+                    compile_into(arg, slot as u32, net_widths, self);
+                }
+            }
+            Instr::WaitEvent { .. } | Instr::Jump(_) | Instr::Halt => {}
+        }
         start..self.ops.len() as u32
+    }
+
+    /// Compiles each index expression in `lvalue` into the next slot
+    /// from `slot` on; returns the first slot left unused.
+    fn compile_indices(&mut self, lvalue: &LValue, mut slot: u32, net_widths: &[u32]) -> u32 {
+        match lvalue {
+            LValue::Index(_, index) => {
+                compile_into(index, slot, net_widths, self);
+                slot += 1;
+            }
+            LValue::Concat(parts) => {
+                for part in parts {
+                    slot = self.compile_indices(part, slot, net_widths);
+                }
+            }
+            LValue::Net(_) | LValue::Range(..) => {}
+        }
+        slot
     }
 
     /// The ops of the program at `range`.
@@ -289,7 +330,12 @@ impl ScratchArena {
 
     /// Borrowed view of the last executed program's result (slot 0).
     pub(crate) fn result(&self) -> BitsRef<'_> {
-        self.slots[0].as_bits()
+        self.slot(0)
+    }
+
+    /// Borrowed view of slot `i` after the last executed program.
+    pub(crate) fn slot(&self, i: usize) -> BitsRef<'_> {
+        self.slots[i].as_bits()
     }
 
     /// Owned copy of the result — test and cold-path use only.
@@ -401,19 +447,19 @@ pub(crate) fn exec(
                         a.load_logic(r);
                     }
                     BinaryOp::Lt => {
-                        let r = cmp_logic(a.as_bits(), b, |o| o == std::cmp::Ordering::Less);
+                        let r = a.as_bits().lt(b);
                         a.load_logic(r);
                     }
                     BinaryOp::Le => {
-                        let r = cmp_logic(a.as_bits(), b, |o| o != std::cmp::Ordering::Greater);
+                        let r = a.as_bits().le(b);
                         a.load_logic(r);
                     }
                     BinaryOp::Gt => {
-                        let r = cmp_logic(a.as_bits(), b, |o| o == std::cmp::Ordering::Greater);
+                        let r = b.lt(a.as_bits());
                         a.load_logic(r);
                     }
                     BinaryOp::Ge => {
-                        let r = cmp_logic(a.as_bits(), b, |o| o != std::cmp::Ordering::Less);
+                        let r = b.le(a.as_bits());
                         a.load_logic(r);
                     }
                     // The tree walker evaluates both operands' truth
@@ -478,13 +524,6 @@ pub(crate) fn exec(
     }
 }
 
-fn cmp_logic(a: BitsRef<'_>, b: BitsRef<'_>, f: impl Fn(std::cmp::Ordering) -> bool) -> Logic {
-    match a.value_cmp(b) {
-        Some(ord) => Logic::from_bool(f(ord)),
-        None => Logic::X,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -496,7 +535,8 @@ mod tests {
     /// Compiles `expr` as the only program of a fresh set.
     fn compile_one(expr: &Expr, net_widths: &[u32]) -> (Programs, Range<u32>) {
         let mut progs = Programs::default();
-        let ops = progs.compile(expr, net_widths);
+        compile_into(expr, 0, net_widths, &mut progs);
+        let ops = 0..progs.ops.len() as u32;
         (progs, ops)
     }
 

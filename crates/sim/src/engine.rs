@@ -1,13 +1,12 @@
 //! The event-driven simulation kernel.
 
 use crate::bytecode::{self, Programs, ScratchArena};
-use crate::eval::EvalCtx;
 use crate::format::render_format;
 use crate::result::{LimitKind, LogLine, SimConfig, SimResult};
 use crate::sched::FutureQueue;
 use crate::vcd;
 use aivril_hdl::bits::{BitsRef, ScratchBuf};
-use aivril_hdl::ir::{Design, Instr, LValue, NetId, SysTaskKind, Trigger};
+use aivril_hdl::ir::{Design, Expr, Instr, LValue, NetId, SysTaskKind, Trigger};
 use aivril_hdl::logic::Logic;
 use aivril_hdl::vec::LogicVec;
 use std::collections::VecDeque;
@@ -20,8 +19,8 @@ const NO_NBA_SLOT: u32 = u32::MAX;
 #[derive(Debug, Clone, Copy)]
 struct Lowered {
     /// `ops_start..ops_end` is the range of [`Simulator::programs`]
-    /// holding the instruction's compiled expression; empty when it
-    /// has no hot expression.
+    /// holding the instruction's compiled program (slot layout in
+    /// [`Programs::compile_instr`]); empty when it has no expression.
     ops_start: u32,
     ops_end: u32,
     /// Index into [`Simulator::nba_bufs`] (`NO_NBA_SLOT` when the
@@ -163,9 +162,8 @@ pub struct Simulator<'d> {
     activations_this_step: u64,
     /// When recording, the initial values and every subsequent change.
     waves: Option<(Vec<LogicVec>, Vec<vcd::Change>)>,
-    /// The active `$monitor`: format, argument expressions, and the
-    /// values last printed (None = not yet printed).
-    monitor: Option<MonitorSlot>,
+    /// The active `$monitor`, if any.
+    monitor: Option<Monitor>,
     /// Telemetry sink for the kernel histograms; disabled by default.
     recorder: aivril_obs::Recorder,
     /// Locally-accumulated kernel statistics, only allocated when the
@@ -352,12 +350,15 @@ impl KernelPerf {
     }
 }
 
-/// Registered `$monitor` state: format, args, last printed values.
-type MonitorSlot = (
-    Option<String>,
-    Vec<aivril_hdl::ir::Expr>,
-    Option<Vec<LogicVec>>,
-);
+/// The registered `$monitor`: the `SysCall` at `(pid, pc)` and the
+/// values of its watched (non-`$time`) arguments when it last printed
+/// (`None` until the first print).
+#[derive(Debug)]
+struct Monitor {
+    pid: usize,
+    pc: usize,
+    last: Option<Vec<LogicVec>>,
+}
 
 impl<'d> Simulator<'d> {
     /// Prepares a simulation of `design` under the given limits.
@@ -393,21 +394,28 @@ impl<'d> Simulator<'d> {
         // Whole-net nonblocking assignments get a staging buffer sized
         // to the target net, so `a <= expr` never boxes the staged
         // value either.
-        let mut nba_bufs: Vec<ScratchBuf> = Vec::new();
+        let mut nba_bufs: Vec<ScratchBuf> = Vec::with_capacity(
+            design
+                .processes
+                .iter()
+                .flat_map(|p| &p.body)
+                .filter(|instr| {
+                    matches!(
+                        instr,
+                        Instr::NonblockingAssign {
+                            lvalue: LValue::Net(_),
+                            ..
+                        }
+                    )
+                })
+                .count(),
+        );
         let mut lowered = Vec::with_capacity(design.processes.iter().map(|p| p.body.len()).sum());
         let mut lowered_base = Vec::with_capacity(design.processes.len());
         for p in &design.processes {
             lowered_base.push(lowered.len());
             for instr in &p.body {
-                let expr = match instr {
-                    Instr::BlockingAssign { expr, .. } | Instr::NonblockingAssign { expr, .. } => {
-                        Some(expr)
-                    }
-                    Instr::Delay { amount } => Some(amount),
-                    Instr::BranchIfFalse { cond, .. } => Some(cond),
-                    _ => None,
-                };
-                let ops = expr.map_or(0..0, |e| programs.compile(e, &net_widths));
+                let ops = programs.compile_instr(instr, &net_widths);
                 let nba_slot = match instr {
                     Instr::NonblockingAssign {
                         lvalue: LValue::Net(net),
@@ -649,32 +657,22 @@ impl<'d> Simulator<'d> {
         });
     }
 
-    fn eval(&self, expr: &aivril_hdl::ir::Expr) -> LogicVec {
-        self.eval_with_wake(expr, None)
-    }
-
-    fn eval_with_wake(&self, expr: &aivril_hdl::ir::Expr, last_wake: Option<NetId>) -> LogicVec {
-        EvalCtx {
-            values: &self.values,
-            time: self.time,
-            last_wake,
-        }
-        .eval(expr)
-    }
-
-    /// Executes the compiled program at `(pid, pc)` into the shared
-    /// arena (result readable at `self.arena.result()` afterwards).
-    /// Returns `false` when no program was lowered for that pc — the
-    /// caller then falls back to the tree interpreter, which also keeps
-    /// the interpreter alive as the differential-testing oracle.
-    fn exec_program(&mut self, pid: usize, pc: usize, last_wake: Option<NetId>) -> bool {
+    /// Executes the compiled program of the instruction at `(pid, pc)`
+    /// into the shared arena. Afterwards the instruction's values sit in
+    /// the arena slots laid out by [`Programs::compile_instr`]: the
+    /// result at `self.arena.result()`, the rest at `self.arena.slot(i)`.
+    fn exec_program(&mut self, pid: usize, pc: usize, last_wake: Option<NetId>) {
         let lowered = self.lowered[self.lowered_base[pid] + pc];
-        if lowered.ops_start == lowered.ops_end {
-            return false;
-        }
         let ops = self.programs.ops(lowered.ops_start..lowered.ops_end);
         bytecode::exec(ops, &self.values, self.time, last_wake, &mut self.arena);
-        true
+    }
+
+    /// Copies the first `n` arena slots out as owned values: a system
+    /// task's arguments, for rendering.
+    fn arena_args(&self, n: usize) -> Vec<LogicVec> {
+        (0..n)
+            .map(|i| LogicVec::from_bits(self.arena.slot(i)))
+            .collect()
     }
 
     /// Materialises the arena result as an owned value (the boxed cold
@@ -779,42 +777,30 @@ impl<'d> Simulator<'d> {
                 return;
             }
             match &body[pc] {
-                Instr::BlockingAssign { lvalue, expr } => {
-                    match (lvalue, self.exec_program(pid, pc, wake)) {
-                        // Hot path: whole-net target, compiled program —
-                        // the value goes arena → net planes with no
-                        // intermediate boxing.
-                        (LValue::Net(net), true) => self.commit_net_from_arena(*net),
-                        (_, true) => {
+                Instr::BlockingAssign { lvalue, .. } => {
+                    self.exec_program(pid, pc, wake);
+                    match lvalue {
+                        // Hot path: whole-net target — the value goes
+                        // arena → net planes with no intermediate boxing.
+                        LValue::Net(net) => self.commit_net_from_arena(*net),
+                        _ => {
                             let value = self.arena_result_owned();
-                            self.write_lvalue(lvalue, value);
-                        }
-                        (_, false) => {
-                            let value = self.eval_with_wake(expr, wake);
                             self.write_lvalue(lvalue, value);
                         }
                     }
                     self.procs[pid].pc = pc + 1;
                 }
-                Instr::NonblockingAssign { lvalue, expr } => {
+                Instr::NonblockingAssign { lvalue, .. } => {
                     let slot = self.lowered[self.lowered_base[pid] + pc].nba_slot;
-                    match (slot, self.exec_program(pid, pc, wake)) {
-                        // Hot path: whole-net target, compiled program —
-                        // stage into the pre-sized buffer.
-                        (slot, true) if slot != NO_NBA_SLOT => {
-                            let LValue::Net(net) = lvalue else {
-                                unreachable!("only whole-net targets get an NBA slot");
-                            };
-                            self.stage_nba_from_arena(*net, slot);
-                        }
-                        (_, ran) => {
-                            let value = if ran {
-                                self.arena_result_owned()
-                            } else {
-                                self.eval_with_wake(expr, wake)
-                            };
+                    self.exec_program(pid, pc, wake);
+                    match lvalue {
+                        // Hot path: whole-net target — stage into the
+                        // pre-sized buffer.
+                        LValue::Net(net) => self.stage_nba_from_arena(*net, slot),
+                        _ => {
+                            let value = self.arena_result_owned();
                             let mut slices = std::mem::take(&mut self.lv_scratch);
-                            self.resolve_lvalue(lvalue, &value, &mut slices);
+                            self.resolve_lvalue(lvalue, &value, &mut 1, &mut slices);
                             for (net, msb, lsb, v) in slices.drain(..) {
                                 self.nba.push(NbaEntry {
                                     net,
@@ -828,12 +814,9 @@ impl<'d> Simulator<'d> {
                     }
                     self.procs[pid].pc = pc + 1;
                 }
-                Instr::Delay { amount } => {
-                    let amt = if self.exec_program(pid, pc, None) {
-                        self.arena.result().to_u64().unwrap_or(0)
-                    } else {
-                        self.eval_with_wake(amount, None).to_u64().unwrap_or(0)
-                    };
+                Instr::Delay { .. } => {
+                    self.exec_program(pid, pc, None);
+                    let amt = self.arena.result().to_u64().unwrap_or(0);
                     self.procs[pid].pc = pc + 1;
                     self.procs[pid].generation += 1;
                     if amt == 0 {
@@ -892,37 +875,26 @@ impl<'d> Simulator<'d> {
                 Instr::Jump(target) => {
                     self.procs[pid].pc = *target;
                 }
-                Instr::BranchIfFalse { cond, target } => {
-                    let cond_true = if self.exec_program(pid, pc, wake) {
-                        self.arena.result().to_bool()
-                    } else {
-                        self.eval_with_wake(cond, wake).to_bool()
-                    };
-                    let taken = cond_true != Some(true);
+                Instr::BranchIfFalse { target, .. } => {
+                    self.exec_program(pid, pc, wake);
+                    let taken = self.arena.result().to_bool() != Some(true);
                     self.procs[pid].pc = if taken { *target } else { pc + 1 };
                 }
                 Instr::SysCall {
                     kind: SysTaskKind::Monitor,
-                    format,
-                    args,
+                    ..
                 } => {
-                    self.monitor = Some((format.clone(), args.clone(), None));
+                    self.monitor = Some(Monitor {
+                        pid,
+                        pc,
+                        last: None,
+                    });
                     self.procs[pid].pc = pc + 1;
                 }
                 Instr::SysCall { kind, format, args } => {
                     let kind = *kind;
-                    let rendered = {
-                        let values: Vec<LogicVec> =
-                            args.iter().map(|a| self.eval_with_wake(a, wake)).collect();
-                        match format {
-                            Some(f) => render_format(f, &values),
-                            None => values
-                                .iter()
-                                .map(LogicVec::to_decimal_string)
-                                .collect::<Vec<_>>()
-                                .join(" "),
-                        }
-                    };
+                    self.exec_program(pid, pc, wake);
+                    let rendered = render_task(format.as_deref(), &self.arena_args(args.len()));
                     self.procs[pid].pc = pc + 1;
                     match kind {
                         SysTaskKind::Display => self.emit_line(rendered, false),
@@ -958,39 +930,26 @@ impl<'d> Simulator<'d> {
     /// the last print (and always on its first quiescent step). `$time`
     /// arguments are excluded from change detection, per IEEE 1364 §17.1.
     fn fire_monitor(&mut self) {
-        let Some((format, args, last)) = &self.monitor else {
+        let Some(Monitor { pid, pc, .. }) = self.monitor else {
             return;
         };
-        let (values, watched): (Vec<LogicVec>, Vec<LogicVec>) = {
-            let ctx = EvalCtx {
-                values: &self.values,
-                time: self.time,
-                last_wake: None,
-            };
-            let values: Vec<LogicVec> = args.iter().map(|a| ctx.eval(a)).collect();
-            let watched = args
-                .iter()
-                .zip(&values)
-                .filter(|(a, _)| !matches!(a, aivril_hdl::ir::Expr::Time))
-                .map(|(_, v)| v.clone())
-                .collect();
-            (values, watched)
+        let Instr::SysCall { format, args, .. } = &self.design.processes[pid].body[pc] else {
+            unreachable!("a monitor always records a SysCall");
         };
+        self.exec_program(pid, pc, None);
+        let values = self.arena_args(args.len());
+        let watched: Vec<LogicVec> = args
+            .iter()
+            .zip(&values)
+            .filter(|(a, _)| !matches!(a, Expr::Time))
+            .map(|(_, v)| v.clone())
+            .collect();
+        let last = &mut self.monitor.as_mut().expect("checked above").last;
         if last.as_ref() == Some(&watched) {
             return;
         }
-        let text = match format {
-            Some(f) => render_format(f, &values),
-            None => values
-                .iter()
-                .map(LogicVec::to_decimal_string)
-                .collect::<Vec<_>>()
-                .join(" "),
-        };
-        if let Some((_, _, last)) = &mut self.monitor {
-            *last = Some(watched);
-        }
-        self.emit_line(text, false);
+        *last = Some(watched);
+        self.emit_line(render_task(format.as_deref(), &values), false);
     }
 
     fn emit_line(&mut self, text: String, is_error: bool) {
@@ -1021,10 +980,13 @@ impl<'d> Simulator<'d> {
 
     /// Resolves an l-value into concrete `(net, msb, lsb, value)` slices.
     /// Concatenation targets split the value MSB-first, per IEEE 1364.
+    /// Bit-select indices are read from the arena, starting at slot
+    /// `*index_slot`, where the assignment's program left them.
     fn resolve_lvalue(
         &self,
         lvalue: &LValue,
         value: &LogicVec,
+        index_slot: &mut usize,
         out: &mut Vec<(NetId, u32, u32, LogicVec)>,
     ) {
         match lvalue {
@@ -1036,13 +998,12 @@ impl<'d> Simulator<'d> {
                 let w = msb - lsb + 1;
                 out.push((*id, *msb, *lsb, value.resize(w)));
             }
-            LValue::Index(id, idx_expr) => {
-                let idx = self.eval(idx_expr);
-                if let Some(i) = idx.to_u64() {
-                    let w = self.design.net(*id).width;
-                    if (i as u32) < w {
-                        out.push((*id, i as u32, i as u32, value.resize(1)));
-                    }
+            LValue::Index(id, _) => {
+                let idx = self.arena.slot(*index_slot).to_u64();
+                *index_slot += 1;
+                let w = u64::from(self.design.net(*id).width);
+                if let Some(i) = idx.filter(|&i| i < w) {
+                    out.push((*id, i as u32, i as u32, value.resize(1)));
                 }
                 // Unknown/out-of-range index: write vanishes (IEEE 1364).
             }
@@ -1054,7 +1015,7 @@ impl<'d> Simulator<'d> {
                 let mut hi = total;
                 for (part, w) in parts.iter().zip(widths) {
                     let slice = v.slice(hi - 1, hi - w);
-                    self.resolve_lvalue(part, &slice, out);
+                    self.resolve_lvalue(part, &slice, index_slot, out);
                     hi -= w;
                 }
             }
@@ -1072,7 +1033,7 @@ impl<'d> Simulator<'d> {
 
     fn write_lvalue(&mut self, lvalue: &LValue, value: LogicVec) {
         let mut slices = std::mem::take(&mut self.lv_scratch);
-        self.resolve_lvalue(lvalue, &value, &mut slices);
+        self.resolve_lvalue(lvalue, &value, &mut 1, &mut slices);
         for (net, msb, lsb, v) in slices.drain(..) {
             self.write_slice(net, msb, lsb, &v);
         }
@@ -1169,12 +1130,23 @@ impl<'d> Simulator<'d> {
     }
 }
 
+/// Renders a system task's line: `format` with `values` substituted, or
+/// the values in decimal, space-separated, when there is no format.
+fn render_task(format: Option<&str>, values: &[LogicVec]) -> String {
+    match format {
+        Some(f) => render_format(f, values),
+        None => values
+            .iter()
+            .map(LogicVec::to_decimal_string)
+            .collect::<Vec<_>>()
+            .join(" "),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aivril_hdl::ir::{
-        BinaryOp, Expr, Net, NetKind, Process, ProcessKind, SysTaskKind, UnaryOp,
-    };
+    use aivril_hdl::ir::{BinaryOp, Net, NetKind, Process, ProcessKind, SysTaskKind, UnaryOp};
 
     fn reg(name: &str, width: u32, init: Option<u64>) -> Net {
         Net {
@@ -1756,7 +1728,7 @@ mod tests {
 #[cfg(test)]
 mod vcd_tests {
     use super::*;
-    use aivril_hdl::ir::{Expr, Net, NetKind, Process, ProcessKind, SysTaskKind, UnaryOp};
+    use aivril_hdl::ir::{Net, NetKind, Process, ProcessKind, SysTaskKind, UnaryOp};
 
     #[test]
     fn vcd_records_clock_toggles() {
@@ -1816,7 +1788,7 @@ mod vcd_tests {
 #[cfg(test)]
 mod monitor_tests {
     use super::*;
-    use aivril_hdl::ir::{BinaryOp, Expr, Net, NetKind, Process, ProcessKind, SysTaskKind};
+    use aivril_hdl::ir::{BinaryOp, Net, NetKind, Process, ProcessKind, SysTaskKind};
 
     #[test]
     fn monitor_prints_only_on_change() {

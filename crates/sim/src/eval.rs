@@ -1,4 +1,9 @@
-//! Expression evaluation against current net values.
+//! Tree-walking expression evaluation against current net values.
+//!
+//! Compiled for tests only. The simulator evaluates through
+//! [`crate::bytecode`]; this walker is the straightforward reading of
+//! the IEEE 1364 rules that the bytecode's differential proptests
+//! compare against.
 
 use aivril_hdl::ir::{BinaryOp, Expr, NetId, UnaryOp};
 use aivril_hdl::logic::Logic;

@@ -131,6 +131,34 @@ mod tests {
     }
 
     #[test]
+    fn wide_known_values_render_in_decimal() {
+        let two_pow_64 = |w| LogicVec::from_u64(w, 1).shift_left_const(64);
+        let all_ones = |w| LogicVec::zeros(w).not();
+        let args = vec![
+            two_pow_64(65),
+            all_ones(65),
+            two_pow_64(128),
+            all_ones(128),
+            LogicVec::from_u64(128, u64::MAX),
+            LogicVec::from_u64(128, 10_000_000_000_000_000_000).concat(&LogicVec::zeros(64)),
+        ];
+        assert_eq!(
+            render_format("%d %d %d %0d %d %d", &args),
+            "18446744073709551616 36893488147419103231 \
+             18446744073709551616 340282366920938463463374607431768211455 \
+             18446744073709551615 184467440737095516160000000000000000000"
+        );
+    }
+
+    #[test]
+    fn wide_unknown_values_render_x_or_z() {
+        let mut x = LogicVec::from_u64(128, 1).shift_left_const(64);
+        x.set(3, aivril_hdl::Logic::X);
+        let z = LogicVec::filled(65, aivril_hdl::Logic::Z);
+        assert_eq!(render_format("%d %d", &[x, z]), "x z");
+    }
+
+    #[test]
     fn x_values_render_in_decimal() {
         let args = vec![LogicVec::xes(4)];
         assert_eq!(render_format("%d", &args), "x");

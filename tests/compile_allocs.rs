@@ -120,7 +120,7 @@ fn verilog_compile_path_allocations_stay_under_ceiling() {
         &LayerAllocs {
             parse: 191_546,
             elab: 136_573,
-            lower: 4_507,
+            lower: 4_503,
         },
     );
 }
@@ -135,7 +135,7 @@ fn vhdl_compile_path_allocations_stay_under_ceiling() {
         &LayerAllocs {
             parse: 137_826,
             elab: 154_692,
-            lower: 82_928,
+            lower: 82_156,
         },
     );
 }
