@@ -283,6 +283,20 @@ impl EdaCache {
             .slot(key, &self.inner.hits, &self.inner.misses)
     }
 
+    /// Whether `self` and `other` share one store (clones of one cache).
+    pub(crate) fn same_store(&self, other: &EdaCache) -> bool {
+        Arc::ptr_eq(&self.inner, &other.inner)
+    }
+
+    /// Accounts a simulate answered by a snapshot's stored result in
+    /// place of [`EdaCache::sim_slot`]. The result came from this cache
+    /// under the same key, so that key's slot is resident and the
+    /// lookup it replaces is a hit; counting it keeps the accounting
+    /// what it would be without the snapshot.
+    pub(crate) fn count_sim_reuse(&self) {
+        self.inner.hits.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Initialiser of a fresh analyze slot: the disk tier first, else
     /// `compute`, whose result is persisted.
     ///

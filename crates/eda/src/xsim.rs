@@ -8,14 +8,14 @@ use crate::cache::{self, CompileEntry, EdaCache, ElabEntry, ParsedFile, SimEntry
 use crate::faults::{EdaFaultPlan, ToolFault};
 use crate::latency::ToolLatencyModel;
 use crate::report::{extract_failures, CompileReport, SimReport, ToolMessage};
-use crate::snapshot::Snapshot;
+use crate::snapshot::{SimMemo, Snapshot};
 use crate::source::{HdlFile, Language};
 use crate::ToolSuite;
 use aivril_hdl::diag::{Diagnostics, Severity};
 use aivril_hdl::ir::Design;
 use aivril_hdl::source::SourceMap;
 use aivril_obs::Recorder;
-use aivril_sim::{KernelPerf, SimConfig, Simulator};
+use aivril_sim::{KernelPerf, KernelTelemetry, SimConfig, Simulator};
 
 /// The testbench completion marker AIVRIL2's agents look for — the same
 /// phrase the paper's Fig. 2 example prints on success.
@@ -1023,12 +1023,14 @@ fn not_compiled(compile_report: CompileReport) -> SimReport {
 }
 
 /// One kernel run: the report, the sim-phase share of the modeled
-/// latency, the kernel series for cache replay and the waveform dump,
-/// each when requested.
+/// latency, the kernel counters, and the kernel series for replay and
+/// the waveform dump, each when requested.
 struct SimRun {
     report: SimReport,
     sim_latency: f64,
-    telemetry: Option<aivril_sim::KernelTelemetry>,
+    /// The counters folded into the suite's kernel totals.
+    perf: KernelPerf,
+    telemetry: Option<KernelTelemetry>,
     vcd: Option<String>,
 }
 
@@ -1066,7 +1068,8 @@ impl XsimToolSuite {
             sim.record_waves();
         }
         let result = sim.run();
-        self.kernel.fold(&sim.perf());
+        let perf = sim.perf();
+        self.kernel.fold(&perf);
         log.push_str(&result.log_text());
         if result.finished {
             log.push_str(&format!(
@@ -1102,26 +1105,26 @@ impl XsimToolSuite {
         SimRun {
             report,
             sim_latency,
+            perf,
             vcd: sim.vcd(),
             telemetry: sim.take_telemetry(),
         }
     }
 
-    /// Cache layer around [`Self::run_sim`]. On a miss the kernel runs
-    /// live (recording into this suite's recorder as usual) and its
-    /// telemetry is stored in the entry; on a hit the stored telemetry
-    /// is replayed into this suite's recorder, so the metrics registry
-    /// ends up byte-identical to a cache-off run. The replay decision
-    /// follows *who executed the initializer*, not the hit accounting:
-    /// a thread can be accounted a hit yet win the `get_or_init` race,
-    /// in which case it already recorded live and must not replay.
-    fn run_sim_cached(
+    /// The sim phase of [`ToolSuite::simulate_snapshot`]: rolls the
+    /// `simulate` fault gate and shapes the clean result of
+    /// [`Self::run_sim_clean`]. Returns the shaped report, the sim-phase
+    /// latency, the sim-cache verdict and the clean result to keep in
+    /// the next snapshot — a gate failure stores nothing new and hands
+    /// on `memo` as it was.
+    fn run_sim_gated(
         &self,
         files: &[HdlFile],
         top: Option<&str>,
         compile_report: &CompileReport,
         design: &Design,
-    ) -> (SimReport, f64, Option<bool>) {
+        memo: Option<&Arc<SimMemo>>,
+    ) -> (SimReport, f64, Option<bool>, Option<Arc<SimMemo>>) {
         let verdict = self.faults.tools_on().then(|| {
             let key = cache::sim_key(files, top, &self.latency, &self.sim_config);
             // A crashed simulator never reaches the event kernel; the
@@ -1147,33 +1150,70 @@ impl XsimToolSuite {
                     diverged: None,
                     modeled_latency: compile_report.modeled_latency + v.penalty_s,
                 };
-                return (report, v.penalty_s, None);
+                return (report, v.penalty_s, None, memo.cloned());
             }
         }
-        let (report, sim_latency, hit) =
-            self.run_sim_uncorrupted(files, top, compile_report, design);
-        match &verdict {
+        let (clean, hit) = self.run_sim_clean(files, top, compile_report, design, memo);
+        let report = clean.report.clone();
+        let (report, sim_latency) = match &verdict {
             Some(v) => (
                 self.shape_sim_fault(report, v),
-                sim_latency + v.penalty_s,
-                hit,
+                clean.sim_latency + v.penalty_s,
             ),
-            None => (report, sim_latency, hit),
-        }
+            None => (report, clean.sim_latency),
+        };
+        (report, sim_latency, hit, Some(clean))
     }
 
-    /// The cache layer proper, below the fault gate.
-    fn run_sim_uncorrupted(
+    /// The clean sim phase, below the fault gate. A `memo` this suite
+    /// [may reuse](Self::reuses) stands in for the kernel run and the
+    /// sim-cache lookup alike, and does what a sim-cache hit does: it
+    /// replays the stored kernel series, folds the stored counters and,
+    /// with a cache attached, is accounted as the hit it replaces.
+    /// Otherwise the result comes from the cache layer or a live kernel
+    /// run, and is returned for the next snapshot.
+    fn run_sim_clean(
         &self,
         files: &[HdlFile],
         top: Option<&str>,
         compile_report: &CompileReport,
         design: &Design,
-    ) -> (SimReport, f64, Option<bool>) {
+        memo: Option<&Arc<SimMemo>>,
+    ) -> (Arc<SimMemo>, Option<bool>) {
+        if let Some(memo) = memo.filter(|m| self.reuses(m, top)) {
+            if let Some(kernel) = &memo.telemetry {
+                kernel.record_to(&self.recorder);
+            }
+            self.kernel.fold(&memo.perf);
+            if let Some(cache) = &self.cache {
+                cache.count_sim_reuse();
+            }
+            return (Arc::clone(memo), self.cache.as_ref().map(|_| true));
+        }
+        let recording = self.recorder.is_enabled();
+        let stored = |report, sim_latency, perf, telemetry| SimMemo {
+            report,
+            sim_latency,
+            perf,
+            telemetry,
+            top: top.map(Box::from),
+            sim_config: self.sim_config,
+            latency: self.latency,
+            cache: self.cache.clone(),
+        };
         let Some(cache) = &self.cache else {
             let run = self.run_sim(compile_report, design, false, false);
-            return (run.report, run.sim_latency, None);
+            let clean = stored(run.report, run.sim_latency, run.perf, run.telemetry);
+            return (Arc::new(clean), None);
         };
+        // On a miss the kernel runs live (recording into this suite's
+        // recorder as usual) and its telemetry is stored in the entry;
+        // on a hit the stored telemetry is replayed into this suite's
+        // recorder, so the metrics registry ends up byte-identical to a
+        // cache-off run. The replay decision follows *who executed the
+        // initializer*, not the hit accounting: a thread can be
+        // accounted a hit yet win the `get_or_init` race, in which case
+        // it already recorded live and must not replay.
         let key = cache::sim_key(files, top, &self.latency, &self.sim_config);
         let (slot, hit) = cache.sim_slot(key);
         let mut computed_here = false;
@@ -1199,7 +1239,39 @@ impl XsimToolSuite {
                 self.kernel.fold(&kernel.perf());
             }
         }
-        (entry.report.clone(), entry.sim_latency, Some(hit))
+        // Either way, what reached the counters and the recorder is the
+        // entry's kernel telemetry.
+        let clean = stored(
+            entry.report.clone(),
+            entry.sim_latency,
+            entry
+                .kernel
+                .as_ref()
+                .map(KernelTelemetry::perf)
+                .unwrap_or_default(),
+            entry.kernel.clone().filter(|_| recording),
+        );
+        (Arc::new(clean), Some(hit))
+    }
+
+    /// Whether `memo`, stored by a simulate of byte-equal files, is
+    /// the result this suite would get simulating them for `top`: the
+    /// rest of the sim-cache key is equal too, the cache it came from
+    /// is this suite's (or neither has one), and, when recording, it
+    /// holds the kernel series to replay. The flow hands each snapshot
+    /// back to the suite that made it, so in practice this always
+    /// holds; it is checked because it is cheap.
+    fn reuses(&self, memo: &SimMemo, top: Option<&str>) -> bool {
+        let same_cache = match (&memo.cache, &self.cache) {
+            (Some(a), Some(b)) => a.same_store(b),
+            (None, None) => true,
+            _ => false,
+        };
+        same_cache
+            && memo.top.as_deref() == top
+            && memo.sim_config == self.sim_config
+            && memo.latency == self.latency
+            && (memo.telemetry.is_some() || !self.recorder.is_enabled())
     }
 
     fn analyze_inner(&self, files: &[HdlFile]) -> CompileReport {
@@ -1332,6 +1404,7 @@ impl ToolSuite for XsimToolSuite {
             report: clean.unwrap_or_else(|| report.clone()),
             design,
             auto_top: true,
+            sim: None,
         });
         (report, snapshot)
     }
@@ -1354,16 +1427,22 @@ impl ToolSuite for XsimToolSuite {
         // compile report; compile-level log corruption belongs to the
         // compile invocation alone.
         let base_compile = clean_compile.unwrap_or_else(|| compile_report.clone());
-        let (report, sim_latency, cache_hit) =
-            self.run_sim_cached(&files, top, &base_compile, &design);
-        // The kernel's own series are replayed from the cache entry
-        // inside `run_sim_cached`.
+        let (report, sim_latency, cache_hit, sim) = self.run_sim_gated(
+            &files,
+            top,
+            &base_compile,
+            &design,
+            reuse.and_then(|s| s.sim.as_ref()),
+        );
+        // The kernel's own series are replayed from the stored result
+        // or the cache entry inside `run_sim_gated`.
         self.record_sim(&span, &report, sim_latency, cache_hit);
         let next = Snapshot {
             files,
             report: base_compile,
             design,
             auto_top: top.is_none() || reuse.is_some_and(|s| s.auto_top),
+            sim,
         };
         (report, Some(next))
     }
@@ -1847,7 +1926,8 @@ mod tests {
     /// A simulate that reuses a snapshot gives the report a fresh
     /// `simulate` gives, field for field, with the cache off and on and
     /// under log and crash faults (which roll per invocation, as
-    /// before).
+    /// before) — the first time, from the compiled design, and every
+    /// time after, from the stored sim result.
     #[test]
     fn reused_snapshot_simulates_like_a_fresh_compile() {
         let plan = EdaFaultPlan::parse("crash=0.3,garbled=0.3,truncate=0.3").expect("plan");
@@ -1861,25 +1941,186 @@ mod tests {
         ];
         let mut faulted = 0;
         let mut reuses = 0;
+        let mut sim_reuses = 0;
         for (index, tools) in suites.iter().enumerate() {
             for variant in 0..12 {
                 let tb = format!("{GOOD_TB}// variant {variant}\n");
                 let fresh = tools.simulate(&pair(GOOD_V, &tb), Some("tb"));
-                let (_, snapshot) = tools.compile_snapshot(pair(GOOD_V, &tb));
-                let (via_snapshot, next) =
-                    tools.simulate_snapshot(pair(GOOD_V, &tb), Some("tb"), snapshot.as_ref());
-                assert_eq!(
-                    format!("{via_snapshot:?}"),
-                    format!("{fresh:?}"),
-                    "suite {index}, variant {variant}"
-                );
-                if let (Some(before), Some(after)) = (&snapshot, next) {
-                    reuses += usize::from(Arc::ptr_eq(&before.design, &after.design));
+                let (_, mut snapshot) = tools.compile_snapshot(pair(GOOD_V, &tb));
+                for round in 0..3 {
+                    let (via_snapshot, next) =
+                        tools.simulate_snapshot(pair(GOOD_V, &tb), Some("tb"), snapshot.as_ref());
+                    assert_eq!(
+                        format!("{via_snapshot:?}"),
+                        format!("{fresh:?}"),
+                        "suite {index}, variant {variant}, round {round}"
+                    );
+                    if let (Some(before), Some(after)) = (&snapshot, &next) {
+                        reuses += usize::from(Arc::ptr_eq(&before.design, &after.design));
+                        if let (Some(a), Some(b)) = (&before.sim, &after.sim) {
+                            sim_reuses += usize::from(Arc::ptr_eq(a, b));
+                        }
+                    }
+                    snapshot = next;
                 }
                 faulted += usize::from(!fresh.passed);
             }
         }
-        assert!(reuses >= 24, "only {reuses} reuses");
+        assert!(reuses >= 72, "only {reuses} reuses");
+        assert!(sim_reuses >= 48, "only {sim_reuses} sim reuses");
         assert!(faulted > 0, "the fault plan must hit some invocations");
+    }
+
+    /// The stored sim result `snapshot` carries.
+    fn memo(snapshot: &Snapshot) -> &Arc<SimMemo> {
+        snapshot
+            .sim
+            .as_ref()
+            .expect("a simulated snapshot keeps its result")
+    }
+
+    #[test]
+    fn simulated_snapshot_reuses_its_result_for_the_same_files_and_top() {
+        for tools in [
+            XsimToolSuite::new(),
+            XsimToolSuite::new().with_cache(EdaCache::new()),
+        ] {
+            let (_, compiled) = tools.compile_snapshot(pair(GOOD_V, GOOD_TB));
+            let compiled = compiled.expect("clean compile");
+            assert!(compiled.sim.is_none(), "a compile has simulated nothing");
+            let (_, first) =
+                tools.simulate_snapshot(pair(GOOD_V, GOOD_TB), Some("tb"), Some(&compiled));
+            let first = first.expect("clean compile");
+            let before = tools.cache().map(EdaCache::stats);
+            let (_, second) =
+                tools.simulate_snapshot(pair(GOOD_V, GOOD_TB), Some("tb"), Some(&first));
+            let second = second.expect("clean compile");
+            assert!(Arc::ptr_eq(memo(&first), memo(&second)));
+            // The reuse is accounted as the sim-cache hit it replaces.
+            if let (Some(before), Some(after)) = (before, tools.cache().map(EdaCache::stats)) {
+                assert_eq!(
+                    (after.hits, after.misses, after.entries),
+                    (before.hits + 1, before.misses, before.entries)
+                );
+            }
+            // And again from the snapshot that reuse handed on.
+            let (_, third) =
+                tools.simulate_snapshot(pair(GOOD_V, GOOD_TB), Some("tb"), Some(&second));
+            assert!(Arc::ptr_eq(memo(&first), memo(&third.expect("clean"))));
+
+            // A one-byte edit or another top runs the kernel again.
+            let edited = GOOD_TB.replace("#1;", "#2;");
+            assert_eq!(edited.len(), GOOD_TB.len());
+            for (files, top) in [
+                (pair(GOOD_V, &edited), Some("tb")),
+                (pair(GOOD_V, GOOD_TB), None),
+            ] {
+                let (_, next) = tools.simulate_snapshot(files, top, Some(&first));
+                assert!(!Arc::ptr_eq(memo(&first), memo(&next.expect("clean"))));
+            }
+            // A failed compile hands on nothing, so the candidate after
+            // it runs the kernel again.
+            let (sim, broken) =
+                tools.simulate_snapshot(pair(BAD_V, GOOD_TB), Some("tb"), Some(&first));
+            assert!(!sim.compiled && broken.is_none());
+            let (_, next) =
+                tools.simulate_snapshot(pair(GOOD_V, GOOD_TB), Some("tb"), broken.as_ref());
+            assert!(!Arc::ptr_eq(memo(&first), memo(&next.expect("clean"))));
+        }
+    }
+
+    #[test]
+    fn stored_results_stay_with_the_suite_that_made_them() {
+        let tools = XsimToolSuite::new();
+        let (_, first) = tools.simulate_snapshot(pair(GOOD_V, GOOD_TB), Some("tb"), None);
+        let first = first.expect("clean compile");
+        let others = [
+            XsimToolSuite::new().with_sim_config(SimConfig {
+                max_deltas_per_step: 16,
+                ..SimConfig::default()
+            }),
+            XsimToolSuite::new().with_latency_model(ToolLatencyModel {
+                sim_base: 9.0,
+                ..ToolLatencyModel::default()
+            }),
+            XsimToolSuite::new().with_cache(EdaCache::new()),
+            // Nothing was recorded, so there is no kernel series to
+            // replay.
+            XsimToolSuite::new().with_recorder(Recorder::new()),
+        ];
+        for (index, other) in others.iter().enumerate() {
+            let (_, next) =
+                other.simulate_snapshot(pair(GOOD_V, GOOD_TB), Some("tb"), Some(&first));
+            assert!(
+                !Arc::ptr_eq(memo(&first), memo(&next.expect("clean"))),
+                "suite {index}"
+            );
+        }
+        // A clone shares the settings, and so the result.
+        let (_, next) =
+            tools
+                .clone()
+                .simulate_snapshot(pair(GOOD_V, GOOD_TB), Some("tb"), Some(&first));
+        assert!(Arc::ptr_eq(memo(&first), memo(&next.expect("clean"))));
+    }
+
+    /// With a recording recorder, reusing stored results leaves the
+    /// journal, the metrics registry and the kernel totals exactly as a
+    /// suite whose kernel runs on every call leaves them, with the
+    /// cache off and on.
+    #[test]
+    fn reuse_replays_telemetry_like_a_kernel_run() {
+        let vhdl_dut = "entity inv is port (a : in std_logic; y : out std_logic); end entity;\n\
+                        architecture rtl of inv is begin y <= not a; end architecture;\n";
+        let vhdl_tb = "entity tb is end entity;\narchitecture sim of tb is\n\
+                       signal a, y : std_logic;\nbegin\n\
+                       dut: entity work.inv port map (a => a, y => y);\n\
+                       process begin\n  a <= '0'; wait for 1 ns;\n\
+                       report \"All tests passed successfully!\";\n  wait;\nend process;\n\
+                       end architecture;\n";
+        let candidates = [
+            pair(GOOD_V, GOOD_TB),
+            vec![
+                HdlFile::new("inv.vhd", vhdl_dut),
+                HdlFile::new("tb.vhd", vhdl_tb),
+            ],
+        ];
+        for cached in [false, true] {
+            let (rec, reference_rec) = (Recorder::new(), Recorder::new());
+            let mut reusing = XsimToolSuite::new().with_recorder(rec.clone());
+            if cached {
+                reusing = reusing.with_cache(EdaCache::new());
+            }
+            let always_runs = XsimToolSuite::new().with_recorder(reference_rec.clone());
+            for files in &candidates {
+                let (_, mut snapshot) = reusing.compile_snapshot(files.clone());
+                always_runs.compile(files);
+                let mut stored: Option<Arc<SimMemo>> = None;
+                for round in 0..3 {
+                    let (_, next) =
+                        reusing.simulate_snapshot(files.clone(), Some("tb"), snapshot.as_ref());
+                    let next = next.expect("clean compile");
+                    let memo = Arc::clone(memo(&next));
+                    assert_eq!(
+                        stored.as_ref().is_some_and(|s| Arc::ptr_eq(s, &memo)),
+                        round > 0,
+                        "cached {cached}, round {round}"
+                    );
+                    stored = Some(memo);
+                    snapshot = Some(next);
+                    always_runs.simulate(files, Some("tb"));
+                }
+            }
+            let journal = aivril_obs::render_journal(&rec);
+            assert!(journal.contains("eda.simulate"));
+            assert_eq!(journal, aivril_obs::render_journal(&reference_rec));
+            assert_eq!(
+                rec.metrics().render(),
+                reference_rec.metrics().render(),
+                "cached {cached}"
+            );
+            assert_eq!(reusing.kernel_stats(), always_runs.kernel_stats());
+            assert!(always_runs.kernel_stats().instructions > 0);
+        }
     }
 }

@@ -263,14 +263,7 @@ impl<'a> BitsRef<'a> {
         if self.has_unknown() || rhs.has_unknown() {
             return None;
         }
-        let n = self.aval.len().max(rhs.aval.len());
-        for i in (0..n).rev() {
-            match word_at(self.aval, i).cmp(&word_at(rhs.aval, i)) {
-                Ordering::Equal => continue,
-                ord => return Some(ord),
-            }
-        }
-        Some(Ordering::Equal)
+        Some(cmp_planes(self.aval, rhs.aval))
     }
 
     /// Unsigned less-than (`<`): `X` on unknown operands.
@@ -286,6 +279,17 @@ impl<'a> BitsRef<'a> {
         self.value_cmp(rhs)
             .map_or(Logic::X, |ord| Logic::from_bool(ord != Ordering::Greater))
     }
+}
+
+/// Compares two planes as unsigned numbers, the shorter zero-extended.
+fn cmp_planes(a: &[u64], b: &[u64]) -> Ordering {
+    for i in (0..a.len().max(b.len())).rev() {
+        match word_at(a, i).cmp(&word_at(b, i)) {
+            Ordering::Equal => continue,
+            ord => return ord,
+        }
+    }
+    Ordering::Equal
 }
 
 /// Valid-bit mask for word `i` of a `width`-bit vector's planes.
@@ -545,35 +549,99 @@ impl ScratchBuf {
         self.mask_top();
     }
 
-    /// `self = self * rhs` at the max operand width, all-X on unknown
-    /// operands. Only the low word of each operand takes part.
+    /// `self = self * rhs` at the max operand width (the product is
+    /// truncated to it), all-X on unknown operands.
     pub fn mul_assign(&mut self, rhs: BitsRef<'_>) {
         let width = self.width.max(rhs.width());
         if self.as_bits().has_unknown() || rhs.has_unknown() {
             self.fill(width, Logic::X);
             return;
         }
-        let low = word_at(&self.aval, 0).wrapping_mul(rhs.word(0).0);
-        self.load_u64(width, low);
+        self.set_width(width);
+        let n = self.aval.len();
+        // Words of `rhs` above its highest non-zero one only carry.
+        let used = rhs
+            .aval
+            .iter()
+            .rposition(|&w| w != 0)
+            .map_or(0, |top| top + 1);
+        // Schoolbook, in place: word `i` of the product only takes
+        // partial products of `self`'s words `0..=i`, so consuming
+        // `self`'s words from the top down never reads one already
+        // overwritten.
+        for i in (0..n).rev() {
+            let a = std::mem::take(&mut self.aval[i]);
+            let mut carry = 0u128;
+            for j in 0..n - i {
+                if j >= used && carry == 0 {
+                    break;
+                }
+                let acc = self.aval[i + j] as u128 + a as u128 * rhs.word(j).0 as u128 + carry;
+                self.aval[i + j] = acc as u64;
+                carry = acc >> 64;
+            }
+        }
+        self.mask_top();
     }
 
     /// `self = self / rhs`; division by zero or unknown operands yield
     /// all-X.
     pub fn div_assign(&mut self, rhs: BitsRef<'_>) {
-        let width = self.width.max(rhs.width());
-        match (self.as_bits().to_u64(), rhs.to_u64()) {
-            (Some(a), Some(b)) if b != 0 => self.load_u64(width, a / b),
-            _ => self.fill(width, Logic::X),
-        }
+        self.divide(rhs, false);
     }
 
     /// `self = self % rhs`; modulo zero or unknown operands yield all-X.
     pub fn rem_assign(&mut self, rhs: BitsRef<'_>) {
+        self.divide(rhs, true);
+    }
+
+    /// Unsigned division at the max operand width, leaving the quotient
+    /// or (with `remainder`) the remainder. Operands up to 64 bits take
+    /// one machine division; wider ones run restoring long division
+    /// bit by bit, building the quotient in place in the `aval` plane
+    /// and the remainder in the `bval` plane (all-zero for known
+    /// operands), so no scratch is allocated.
+    fn divide(&mut self, rhs: BitsRef<'_>, remainder: bool) {
         let width = self.width.max(rhs.width());
-        match (self.as_bits().to_u64(), rhs.to_u64()) {
-            (Some(a), Some(b)) if b != 0 => self.load_u64(width, a % b),
-            _ => self.fill(width, Logic::X),
+        if self.as_bits().has_unknown() || rhs.has_unknown() || rhs.reduce_or() == Logic::Zero {
+            self.fill(width, Logic::X);
+            return;
         }
+        if let (Some(a), Some(b)) = (self.as_bits().to_u64(), rhs.to_u64()) {
+            self.load_u64(width, if remainder { a % b } else { a / b });
+            return;
+        }
+        self.set_width(width);
+        let n = self.aval.len();
+        for bit in (0..width as usize).rev() {
+            // remainder = remainder << 1 | dividend bit; the bit shifted
+            // out of the top word means the remainder exceeds the
+            // divisor.
+            let (word, shift) = (bit / 64, bit % 64);
+            let mut carry = (self.aval[word] >> shift) & 1;
+            for r in &mut self.bval {
+                let out = *r >> 63;
+                *r = (*r << 1) | carry;
+                carry = out;
+            }
+            let mask = 1u64 << shift;
+            if carry == 1 || cmp_planes(&self.bval, rhs.aval) != Ordering::Less {
+                let mut borrow = false;
+                for i in 0..n {
+                    let (d, b1) = self.bval[i].overflowing_sub(rhs.word(i).0);
+                    let (d, b2) = d.overflowing_sub(u64::from(borrow));
+                    self.bval[i] = d;
+                    borrow = b1 || b2;
+                }
+                self.aval[word] |= mask;
+            } else {
+                self.aval[word] &= !mask;
+            }
+        }
+        if remainder {
+            std::mem::swap(&mut self.aval, &mut self.bval);
+        }
+        self.bval.fill(0);
     }
 
     /// `self = self << amount`; unknown amount yields all-X at the
@@ -796,6 +864,103 @@ mod tests {
         buf.load(b.as_bits());
         buf.neg_self();
         assert_eq!(buf.to_logic_vec(), b.negate());
+    }
+
+    /// A `width`-bit buffer holding the low `width` bits of `value`.
+    fn from_u128(width: u32, value: u128) -> ScratchBuf {
+        let mut buf = ScratchBuf::with_width(width);
+        for (i, word) in buf.aval.iter_mut().enumerate() {
+            *word = (value >> (64 * i)) as u64;
+        }
+        buf.mask_top();
+        buf
+    }
+
+    fn to_u128(buf: &ScratchBuf) -> Option<u128> {
+        (!buf.as_bits().has_unknown())
+            .then(|| u128::from(buf.aval[0]) | u128::from(word_at(&buf.aval, 1)) << 64)
+    }
+
+    /// Multiplication, division and remainder at widths 65..=128 match
+    /// `u128` arithmetic truncated to the width, without growing the
+    /// buffer.
+    #[test]
+    fn wide_mul_div_rem_match_u128() {
+        let samples: [u128; 9] = [
+            0,
+            1,
+            3,
+            0xFFFF_FFFF_FFFF_FFFF,
+            1 << 64,
+            (1 << 64) + 12_345,
+            0xDEAD_BEEF_0123_4567_89AB_CDEF_1357_9BDF,
+            u128::MAX / 3,
+            u128::MAX,
+        ];
+        for width in [65, 77, 100, 127, 128] {
+            let mask = if width == 128 {
+                u128::MAX
+            } else {
+                (1u128 << width) - 1
+            };
+            for &a in &samples {
+                for &b in &samples {
+                    let (a, b) = (a & mask, b & mask);
+                    let rb = from_u128(width, b);
+                    let mut buf = from_u128(width, a);
+                    buf.mul_assign(rb.as_bits());
+                    assert_eq!(
+                        to_u128(&buf),
+                        Some(a.wrapping_mul(b) & mask),
+                        "{a} * {b} @{width}"
+                    );
+                    let mut buf = from_u128(width, a);
+                    buf.div_assign(rb.as_bits());
+                    assert_eq!(to_u128(&buf), a.checked_div(b), "{a} / {b} @{width}");
+                    let mut buf = from_u128(width, a);
+                    buf.rem_assign(rb.as_bits());
+                    assert_eq!(to_u128(&buf), a.checked_rem(b), "{a} % {b} @{width}");
+                    assert_eq!(buf.grows(), 0);
+                    assert_eq!(buf.width(), width);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn wide_mul_div_rem_of_unknowns_and_mixed_widths() {
+        let big = from_u128(100, (1 << 90) + 7);
+        let mut x = from_u128(100, 5);
+        x.bval[1] = 1; // one unknown bit in the high word
+        for op in [
+            ScratchBuf::mul_assign,
+            ScratchBuf::div_assign,
+            ScratchBuf::rem_assign,
+        ] {
+            let mut buf = from_u128(100, 1 << 70);
+            op(&mut buf, x.as_bits());
+            assert_eq!(buf.to_logic_vec(), LogicVec::filled(100, Logic::X));
+            let mut buf = from_u128(100, 0);
+            buf.bval[1] = 1;
+            op(&mut buf, big.as_bits());
+            assert_eq!(buf.to_logic_vec(), LogicVec::filled(100, Logic::X));
+        }
+        // A narrow operand widens to the wide one's width.
+        let narrow = from_u128(8, 3);
+        let mut buf = from_u128(100, (1 << 90) + 7);
+        buf.div_assign(narrow.as_bits());
+        assert_eq!(to_u128(&buf), Some(((1 << 90) + 7) / 3));
+        let mut buf = ScratchBuf::with_width(100);
+        buf.load(narrow.as_bits());
+        buf.mul_assign(big.as_bits());
+        assert_eq!(buf.width(), 100);
+        assert_eq!(
+            to_u128(&buf),
+            Some((((1u128 << 90) + 7) * 3) & ((1 << 100) - 1))
+        );
+        buf.load(narrow.as_bits());
+        buf.rem_assign(big.as_bits());
+        assert_eq!(to_u128(&buf), Some(3));
     }
 
     #[test]

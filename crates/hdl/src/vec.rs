@@ -434,8 +434,8 @@ impl LogicVec {
         self.apply(ScratchBuf::neg_self)
     }
 
-    /// Multiplication with X-propagation. Only the low 64 bits of each
-    /// operand take part, so wider products keep just their low word.
+    /// Multiplication with X-propagation, truncated to the wider
+    /// operand's width.
     #[must_use]
     pub fn mul(&self, rhs: &LogicVec) -> LogicVec {
         self.apply(|v| v.mul_assign(rhs.as_bits()))

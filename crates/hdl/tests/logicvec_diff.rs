@@ -98,27 +98,46 @@ fn ref_negate(a: &Bits) -> Bits {
     ref_sub(&vec![Logic::Zero; a.len()], a)
 }
 
-/// Word-level multiplication semantics: product of the low 64 bits of
-/// each operand, placed in the low word of the result.
+/// Shift-and-add multiplication, truncated to the wider operand's
+/// width; all-X on any unknown operand bit.
 fn ref_mul(a: &Bits, b: &Bits) -> Bits {
     let w = a.len().max(b.len());
     if !all_known(a) || !all_known(b) {
         return xes(w);
     }
-    from_u64_bits(w, low64(a).wrapping_mul(low64(b)))
+    let a = ref_resize(a, w);
+    let mut product = vec![Logic::Zero; w];
+    for i in 0..w {
+        if bit(b, i) == Logic::One {
+            product = ref_add(&product, &ref_shl_const(&a, i));
+        }
+    }
+    product
 }
 
-fn from_u64_bits(width: usize, value: u64) -> Bits {
-    (0..width)
-        .map(|i| Logic::from_bool(i < 64 && value >> i & 1 == 1))
-        .collect()
-}
-
+/// Restoring long division, one bit at a time, at the wider operand's
+/// width: the quotient, or with `rem` the remainder. Division by zero
+/// or an unknown operand bit yields all-X.
 fn ref_divrem(a: &Bits, b: &Bits, rem: bool) -> Bits {
     let w = a.len().max(b.len());
-    match (ref_to_u64(a), ref_to_u64(b)) {
-        (Some(x), Some(y)) if y != 0 => from_u64_bits(w, if rem { x % y } else { x / y }),
-        _ => xes(w),
+    if !all_known(a) || !all_known(b) || b.iter().all(|&x| x == Logic::Zero) {
+        return xes(w);
+    }
+    let mut quotient = vec![Logic::Zero; w];
+    // One spare bit: the shifted remainder can reach twice the divisor.
+    let mut remainder = vec![Logic::Zero; w + 1];
+    for i in (0..w).rev() {
+        remainder = ref_shl_const(&remainder, 1);
+        remainder[0] = bit(a, i);
+        if ref_value_cmp(&remainder, b) != Some(std::cmp::Ordering::Less) {
+            remainder = ref_sub(&remainder, b);
+            quotient[i] = Logic::One;
+        }
+    }
+    if rem {
+        ref_resize(&remainder, w)
+    } else {
+        quotient
     }
 }
 
@@ -312,6 +331,11 @@ fn mostly_known_strategy() -> BoxedStrategy<Logic> {
     .boxed()
 }
 
+/// Two-state values only.
+fn known_strategy() -> BoxedStrategy<Logic> {
+    prop_oneof![Just(Logic::Zero), Just(Logic::One)].boxed()
+}
+
 fn bits_strategy(element: fn() -> BoxedStrategy<Logic>) -> BoxedStrategy<Bits> {
     width_strategy()
         .prop_flat_map(move |w| pvec(element(), w as usize..=w as usize))
@@ -348,6 +372,24 @@ proptest! {
         assert_same(&pa.mul(&pb), &ref_mul(&a, &b), "mul")?;
         assert_same(&pa.div(&pb), &ref_divrem(&a, &b, false), "div")?;
         assert_same(&pa.rem(&pb), &ref_divrem(&a, &b, true), "rem")?;
+    }
+
+    /// Known operands only, so multiplication and division run their
+    /// multi-word paths instead of short-circuiting to all-X.
+    #[test]
+    fn known_arithmetic_matches_reference(
+        a in bits_strategy(known_strategy),
+        b in bits_strategy(known_strategy),
+    ) {
+        let (pa, pb) = (lv(&a), lv(&b));
+        assert_same(&pa.mul(&pb), &ref_mul(&a, &b), "mul")?;
+        assert_same(&pa.div(&pb), &ref_divrem(&a, &b, false), "div")?;
+        assert_same(&pa.rem(&pb), &ref_divrem(&a, &b, true), "rem")?;
+        // Small divisors, so quotients of wide values are wide too.
+        let small = ref_resize(&b, b.len().min(9));
+        let ps = lv(&small);
+        assert_same(&pa.div(&ps), &ref_divrem(&a, &small, false), "div small")?;
+        assert_same(&pa.rem(&ps), &ref_divrem(&a, &small, true), "rem small")?;
     }
 
     #[test]
